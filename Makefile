@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci vet build test race race-store race-match race-lifecycle race-columnar race-cluster race-search cluster-smoke bench bench-smoke bench-overhead bench-match bench-columnar bench-search bench-write experiments
+.PHONY: ci vet build test race race-store race-match race-lifecycle race-columnar race-cluster race-search cluster-smoke fuzz-smoke bench bench-smoke bench-overhead bench-search bench-write experiments
 
-ci: vet build race race-store race-match race-lifecycle race-columnar race-cluster race-search cluster-smoke bench-smoke bench-overhead bench-match bench-columnar bench-search bench-write
+ci: vet build race race-store race-match race-lifecycle race-columnar race-cluster race-search cluster-smoke fuzz-smoke bench-smoke bench-overhead bench-search bench-write
 
 vet:
 	$(GO) vet ./...
@@ -44,23 +44,6 @@ race-lifecycle:
 	$(GO) test -race -count=2 ./internal/lifecycle/
 	$(GO) test -race -count=2 -run 'TestLifecycle|TestWatch|TestRepairs|TestSubstitutesCache|TestServePreStop' ./internal/serve/
 
-# Match-equality gate: the index-pruned substitute search must return
-# results byte-identical to the exhaustive search in both mapping modes,
-# exact-mode pruning must cover every mapping-infeasible candidate, and
-# the sharded indexed matrix must equal the sequential sweep. Gates
-# results, not timings — safe on any host.
-bench-match:
-	$(GO) run ./cmd/dexa-bench -match-only
-
-# Columnar-core gate: interned-ID alignment must be byte-identical to
-# the string-keyed oracle over every mappable pair, the incremental
-# matrix must equal a fresh full build across catalog mutations, and the
-# scratch hot paths must hold their allocation budget (keyed compare at
-# 0 allocs/op, warm indexed matrix under 2000). Gates results and alloc
-# counts, not timings — safe on any host.
-bench-columnar:
-	$(GO) run ./cmd/dexa-bench -columnar-only
-
 # Columnar concurrency: the shared symbol table hammered from parallel
 # store writers, interning racing lookups, and incremental matrix
 # rebuilds racing index mutations.
@@ -69,11 +52,12 @@ race-columnar:
 
 # Cluster concurrency: WAL feed long-pollers racing appends and drains,
 # follower tails racing leader truncation/reset, scatter-gather rounds
-# racing shard failures, and the store's replication cursor, with more
-# iterations than the catch-all race run gives them.
+# racing shard failures, the store's replication cursor, and follower
+# reads racing replicated batch applies, with more iterations than the
+# catch-all race run gives them.
 race-cluster:
 	$(GO) test -race -count=2 ./internal/cluster/
-	$(GO) test -race -count=2 -run 'TestCluster|TestWatchDrain|TestReplication|TestTail|TestApplyReplicated|TestResetReplicated' ./internal/serve/ ./internal/store/
+	$(GO) test -race -count=2 -run 'TestCluster|TestWatchDrain|TestReplication|TestTail|TestApplyReplicated|TestResetReplicated|TestFollowerReads' ./internal/serve/ ./internal/store/
 
 # Serving-tier gate: the full 252-module catalog sharded three ways must
 # answer /matches and /substitutes byte-identically to a single-node
@@ -92,6 +76,14 @@ cluster-smoke:
 race-search:
 	$(GO) test -race -count=2 ./internal/search/
 	$(GO) test -race -count=2 -run 'TestSearch|TestClusterSearch|TestCompose' ./internal/serve/
+
+# Log-format fuzzing: ten seconds each of WAL and journal recovery over
+# arbitrary bytes, and of the follower's frame-stream decoder, raw and
+# deflated. Seeded from the golden WAL files; a failing input lands in
+# testdata/fuzz/ for replay by plain `go test`.
+fuzz-smoke:
+	$(GO) test -run=NONE -fuzz='^FuzzSegmentRecovery$$' -fuzztime=10s ./internal/store/
+	$(GO) test -run=NONE -fuzz='^FuzzDecodeFrameStream$$' -fuzztime=10s ./internal/cluster/
 
 # Search-index gate: ranked queries must be deterministic, an index
 # maintained incrementally through Update/Remove churn must answer a

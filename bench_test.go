@@ -7,6 +7,7 @@
 package dexa
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -186,7 +187,7 @@ func BenchmarkFindSubstitutes(b *testing.B) {
 			cmp.Workers = workers
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := cmp.FindSubstitutes(target, available); err != nil {
+				if _, err := cmp.FindSubstitutesContext(context.Background(), target, available); err != nil {
 					b.Fatal(err)
 				}
 			}

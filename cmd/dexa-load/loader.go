@@ -14,6 +14,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"dexa/internal/telemetry"
 )
 
 // Config describes one load run. Targets are server base URLs (without
@@ -159,13 +161,58 @@ type loader struct {
 	stats map[string]*classStats
 }
 
+// classStats aggregates one endpoint class: successful-request latencies
+// in a telemetry histogram (milliseconds) plus the exact maximum, which
+// caps the top bucket's interpolation, and failures by error class.
 type classStats struct {
-	hist     *histogram
+	hist     *telemetry.Histogram
+	max      float64
 	failures int
 	errors   map[string]int
 }
 
-func newClassStats() *classStats { return &classStats{hist: newHistogram()} }
+// histBounds spans 50µs to ~2 minutes in ~60 exponential steps — fine
+// enough that linear interpolation inside a bucket stays honest at
+// sub-millisecond latencies, wide enough to absorb timeout-bound tails.
+var histBounds = func() []float64 {
+	var b []float64
+	for v := 0.05; v < 130_000; v *= 1.35 {
+		b = append(b, v)
+	}
+	return b
+}()
+
+func newClassStats() *classStats { return &classStats{hist: telemetry.NewHistogram(histBounds)} }
+
+func (cs *classStats) observe(ms float64) {
+	cs.hist.Observe(ms)
+	cs.max = max(cs.max, ms)
+}
+
+func (cs *classStats) merge(o *classStats) {
+	cs.hist.Merge(o.hist)
+	cs.max = max(cs.max, o.max)
+	cs.failures += o.failures
+	for class, n := range o.errors {
+		if cs.errors == nil {
+			cs.errors = map[string]int{}
+		}
+		cs.errors[class] += n
+	}
+}
+
+func (cs *classStats) percentiles() Percentiles {
+	p := Percentiles{
+		P50Ms: cs.hist.QuantileMax(0.50, cs.max),
+		P90Ms: cs.hist.QuantileMax(0.90, cs.max),
+		P99Ms: cs.hist.QuantileMax(0.99, cs.max),
+		MaxMs: cs.max,
+	}
+	if n := cs.hist.Count(); n > 0 {
+		p.MeanMs = cs.hist.Sum() / float64(n)
+	}
+	return p
+}
 
 // discover fetches the catalog from the first target that answers and
 // records the annotated module IDs.
@@ -423,7 +470,7 @@ func (l *loader) record(kind string, elapsed time.Duration, err error) {
 		cs.errors[errClass(err)]++
 		return
 	}
-	cs.hist.observe(ms)
+	cs.observe(ms)
 }
 
 func (l *loader) report(elapsed time.Duration) *Report {
@@ -431,7 +478,7 @@ func (l *loader) report(elapsed time.Duration) *Report {
 	defer l.mu.Unlock()
 
 	secs := elapsed.Seconds()
-	overall := &classStats{hist: newHistogram()}
+	overall := newClassStats()
 	endpoints := map[string]*EndpointStats{}
 
 	names := make([]string, 0, len(l.stats))
@@ -441,18 +488,11 @@ func (l *loader) report(elapsed time.Duration) *Report {
 	sort.Strings(names)
 	for _, name := range names {
 		cs := l.stats[name]
-		if cs.hist.count == 0 && cs.failures == 0 {
+		if cs.hist.Count() == 0 && cs.failures == 0 {
 			continue
 		}
 		endpoints[name] = endpointStats(cs, secs)
-		overall.hist.merge(cs.hist)
-		overall.failures += cs.failures
-		for class, n := range cs.errors {
-			if overall.errors == nil {
-				overall.errors = map[string]int{}
-			}
-			overall.errors[class] += n
-		}
+		overall.merge(cs)
 	}
 
 	return &Report{
@@ -468,9 +508,9 @@ func (l *loader) report(elapsed time.Duration) *Report {
 
 func endpointStats(cs *classStats, secs float64) *EndpointStats {
 	es := &EndpointStats{
-		Requests: int(cs.hist.count) + cs.failures,
+		Requests: int(cs.hist.Count()) + cs.failures,
 		Failures: cs.failures,
-		Latency:  cs.hist.percentiles(),
+		Latency:  cs.percentiles(),
 	}
 	if len(cs.errors) > 0 {
 		es.Errors = make(map[string]int, len(cs.errors))

@@ -290,29 +290,29 @@ func TestParseMix(t *testing.T) {
 }
 
 func TestHistogramPercentiles(t *testing.T) {
-	h := newHistogram()
+	h := newClassStats()
 	for i := 1; i <= 1000; i++ {
 		h.observe(float64(i) / 10) // 0.1ms .. 100ms uniform
 	}
-	if p50 := h.percentile(0.50); p50 < 35 || p50 > 65 {
-		t.Errorf("p50 = %.2f, want ~50", p50)
+	p := h.percentiles()
+	if p.P50Ms < 35 || p.P50Ms > 65 {
+		t.Errorf("p50 = %.2f, want ~50", p.P50Ms)
 	}
-	if p99 := h.percentile(0.99); p99 < 85 || p99 > 100 {
-		t.Errorf("p99 = %.2f, want ~99", p99)
+	if p.P99Ms < 85 || p.P99Ms > 100 {
+		t.Errorf("p99 = %.2f, want ~99", p.P99Ms)
 	}
-	if max := h.percentiles().MaxMs; max != 100 {
-		t.Errorf("max = %.2f, want 100", max)
-	}
-
-	var empty = newHistogram()
-	if p := empty.percentile(0.5); p != 0 {
-		t.Errorf("empty percentile = %.2f", p)
+	if p.MaxMs != 100 {
+		t.Errorf("max = %.2f, want 100", p.MaxMs)
 	}
 
-	other := newHistogram()
+	if p := newClassStats().percentiles(); p.P50Ms != 0 {
+		t.Errorf("empty percentile = %.2f", p.P50Ms)
+	}
+
+	other := newClassStats()
 	other.observe(500)
 	h.merge(other)
-	if h.count != 1001 || h.max != 500 {
-		t.Errorf("merge: count=%d max=%.1f", h.count, h.max)
+	if h.hist.Count() != 1001 || h.max != 500 {
+		t.Errorf("merge: count=%d max=%.1f", h.hist.Count(), h.max)
 	}
 }

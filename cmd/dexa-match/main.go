@@ -100,7 +100,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		subs, err := cmp.FindSubstitutes(
+		subs, err := cmp.FindSubstitutesContext(context.Background(),
 			match.Unavailable{Signature: target.Module, Examples: set},
 			u.Registry.Available())
 		if err != nil {

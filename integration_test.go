@@ -6,6 +6,7 @@ package dexa
 
 import (
 	"bytes"
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -225,7 +226,7 @@ func TestAnnotationStatePersistence(t *testing.T) {
 	}
 	sig, _ := reg2.Get("getUniprotRecord")
 	cmp := match.NewComparer(u.Ont, nil)
-	subs, err := cmp.FindSubstitutes(
+	subs, err := cmp.FindSubstitutesContext(context.Background(),
 		match.Unavailable{Signature: sig.Module, Examples: sig.Examples},
 		reg2.Available())
 	if err != nil {

@@ -321,13 +321,23 @@ func containsGroup(acc []*sigGroup, g *sigGroup) bool {
 // land in the same class when an exact parameter mapping exists and
 // their stored example sets are equivalent under it — the data-example
 // "behaves identically" test. Members without stored examples stay in
-// singleton classes (nothing is known about their behavior).
+// singleton classes (nothing is known about their behavior). Each
+// member's set is keyed at most once per call, on its first comparison,
+// and every comparison shares one scratch.
 func (p *Planner) partition(g *sigGroup, cs Constraints) []*behaviorClass {
 	n := len(g.members)
 	sets := make([]dataexample.Set, n)
 	for i, m := range g.members {
 		sets[i] = p.examples(m.ID)
 	}
+	keyed := make([]*dataexample.KeyedSet, n)
+	keyedAt := func(i int) *dataexample.KeyedSet {
+		if keyed[i] == nil {
+			keyed[i] = sets[i].Keyed()
+		}
+		return keyed[i]
+	}
+	var sc match.CompareScratch
 	parent := make([]int, n)
 	for i := range parent {
 		parent[i] = i
@@ -357,7 +367,7 @@ func (p *Planner) partition(g *sigGroup, cs Constraints) []*behaviorClass {
 			if !ok {
 				continue
 			}
-			res := match.CompareExampleSets(g.members[i].ID, g.members[j].ID, sets[i], sets[j], mapping)
+			res := match.CompareKeyedSets(&sc, g.members[i].ID, g.members[j].ID, keyedAt(i), keyedAt(j), mapping)
 			if res.Verdict == match.Equivalent {
 				union(i, j)
 			}
@@ -376,14 +386,18 @@ func (p *Planner) partition(g *sigGroup, cs Constraints) []*behaviorClass {
 		bc.members = append(bc.members, g.members[i])
 	}
 	sort.Ints(roots)
+	var likeScore func(*module.Module, *dataexample.KeyedSet) float64
+	if cs.Like != "" {
+		likeScore = p.likeScorer(cs.Like, &sc)
+	}
 	classes := make([]*behaviorClass, 0, len(roots))
 	for _, r := range roots {
 		bc := byRoot[r]
 		bc.rep = bc.members[0]
-		bc.repSet = p.examples(bc.rep.ID)
+		bc.repSet = sets[r]
 		bc.class = search.Fingerprint(bc.repSet)
-		if cs.Like != "" {
-			bc.likeScore = p.likeAgreement(cs.Like, bc)
+		if likeScore != nil && len(bc.repSet) > 0 {
+			bc.likeScore = likeScore(bc.rep, keyedAt(r))
 		}
 		classes = append(classes, bc)
 	}
@@ -400,23 +414,27 @@ func (p *Planner) partition(g *sigGroup, cs Constraints) []*behaviorClass {
 	return classes
 }
 
-// likeAgreement scores a behavior class against the Like module's stored
-// examples (0 when incomparable).
-func (p *Planner) likeAgreement(likeID string, bc *behaviorClass) float64 {
+// likeScorer scores behavior-class representatives against the Like
+// module's stored examples, keyed once for the whole partition (0 when a
+// representative is incomparable). It returns nil when the Like module
+// is unknown or unannotated: every class then scores 0.
+func (p *Planner) likeScorer(likeID string, sc *match.CompareScratch) func(rep *module.Module, repSet *dataexample.KeyedSet) float64 {
 	e, ok := p.Reg.Get(likeID)
-	if !ok || len(bc.repSet) == 0 {
-		return 0
-	}
-	likeSet := p.examples(likeID)
-	if len(likeSet) == 0 {
-		return 0
-	}
-	mapping, ok := match.MapParameters(p.Ont, e.Module, bc.rep, match.ModeExact)
 	if !ok {
-		return 0
+		return nil
 	}
-	res := match.CompareExampleSets(likeID, bc.rep.ID, likeSet, bc.repSet, mapping)
-	return res.Score()
+	set := p.examples(likeID)
+	if len(set) == 0 {
+		return nil
+	}
+	like := set.Keyed()
+	return func(rep *module.Module, repSet *dataexample.KeyedSet) float64 {
+		mapping, ok := match.MapParameters(p.Ont, e.Module, rep, match.ModeExact)
+		if !ok {
+			return 0
+		}
+		return match.CompareKeyedSets(sc, likeID, rep.ID, like, repSet, mapping).Score()
+	}
 }
 
 // expand turns one signature chain into concrete plans: the cartesian

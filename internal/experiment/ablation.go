@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
 	"dexa/internal/core"
@@ -98,7 +99,7 @@ func (s *Suite) RunAblationMatchers() Result {
 		}
 
 		// Data-example matcher: propose the best equivalent candidate.
-		subs, err := cmp.FindSubstitutes(match.Unavailable{Signature: lm.Module, Examples: examples}, available)
+		subs, err := cmp.FindSubstitutesContext(context.TODO(), match.Unavailable{Signature: lm.Module, Examples: examples}, available)
 		if err != nil {
 			panic(err)
 		}

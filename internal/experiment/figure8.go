@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
 	"dexa/internal/match"
@@ -25,7 +26,7 @@ func (s *Suite) RunFigure8() Result {
 			none++
 			continue
 		}
-		subs, err := cmp.FindSubstitutes(match.Unavailable{Signature: lm.Module, Examples: examples}, available)
+		subs, err := cmp.FindSubstitutesContext(context.TODO(), match.Unavailable{Signature: lm.Module, Examples: examples}, available)
 		if err != nil {
 			panic(fmt.Sprintf("experiment: matching %s: %v", lm.Module.ID, err))
 		}

@@ -60,7 +60,7 @@ func TestInternedComparisonMatchesOracle(t *testing.T) {
 					if !ok {
 						continue
 					}
-					want := CompareExampleSets(tm.ID, cm.ID, sets[i], sets[j], mapping)
+					want := compareSets(tm.ID, cm.ID, sets[i], sets[j], mapping)
 					for _, v := range []struct {
 						name string
 						t, c *dataexample.KeyedSet
@@ -69,14 +69,14 @@ func TestInternedComparisonMatchesOracle(t *testing.T) {
 						{"private-tables", privateKeyed[i], privateKeyed[j]},
 						{"string-only", stringKeyed[i], stringKeyed[j]},
 					} {
-						got := CompareKeyedSetsScratch(&sc, tm.ID, cm.ID, v.t, v.c, mapping)
+						got := CompareKeyedSets(&sc, tm.ID, cm.ID, v.t, v.c, mapping)
 						if !reflect.DeepEqual(got, want) {
 							t.Errorf("seed %d/%s/%s: %s -> %s diverged from oracle\n got %+v\nwant %+v",
 								seed, mode, v.name, tm.ID, cm.ID, got, want)
 						}
 					}
-					// The nil-scratch wrapper must agree too and own its map.
-					got := CompareKeyedSets(tm.ID, cm.ID, sharedKeyed[i], sharedKeyed[j], mapping)
+					// A nil scratch must agree too and own its map.
+					got := CompareKeyedSets(nil, tm.ID, cm.ID, sharedKeyed[i], sharedKeyed[j], mapping)
 					if !reflect.DeepEqual(got, want) {
 						t.Errorf("seed %d/%s: CompareKeyedSets %s -> %s diverged from oracle", seed, mode, tm.ID, cm.ID)
 					}

@@ -91,17 +91,18 @@ type ExampleSource interface {
 //
 // Concurrency: a Comparer is safe for concurrent use as long as its
 // fields are not mutated after construction — the ontology, generator and
-// pool are all read-only during comparison. FindSubstitutes additionally
-// invokes candidate modules from worker goroutines (each module from one
-// worker only); module executors shared across candidates must tolerate
-// concurrent invocation, as the transport and simulation executors do.
+// pool are all read-only during comparison. FindSubstitutesContext
+// additionally invokes candidate modules from worker goroutines (each
+// module from one worker only); module executors shared across candidates
+// must tolerate concurrent invocation, as the transport and simulation
+// executors do.
 type Comparer struct {
 	Ont *ontology.Ontology
 	Gen ExampleSource
 	// Mode selects the parameter-mapping strictness (default ModeExact).
 	Mode Mode
-	// Workers bounds FindSubstitutes' candidate fan-out; <= 0 selects
-	// GOMAXPROCS. The ranking is deterministic at any width.
+	// Workers bounds FindSubstitutesContext's candidate fan-out; <= 0
+	// selects GOMAXPROCS. The ranking is deterministic at any width.
 	Workers int
 	// Index, when set, prunes substitute searches and matrix builds to
 	// the mapping-feasible candidates before any example comparison. The
@@ -117,13 +118,6 @@ type Comparer struct {
 // NewComparer builds a Comparer with exact mapping.
 func NewComparer(ont *ontology.Ontology, gen ExampleSource) *Comparer {
 	return &Comparer{Ont: ont, Gen: gen}
-}
-
-// NewCachedComparer builds a Comparer that memoizes generated example
-// sets per module, so comparing one catalog against itself (or many
-// targets against the same candidates) generates each set once.
-func NewCachedComparer(ont *ontology.Ontology, gen *core.Generator) *Comparer {
-	return &Comparer{Ont: ont, Gen: core.NewCachedGenerator(gen)}
 }
 
 // Compare generates data examples for both live modules and classifies
@@ -144,47 +138,10 @@ func (c *Comparer) Compare(target, candidate *module.Module) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("match: generating for candidate %s: %w", candidate.ID, err)
 	}
-	return compareSets(target.ID, candidate.ID, tSet, cSet, mapping), nil
+	return CompareKeyedSets(nil, target.ID, candidate.ID, tSet.Keyed(), cSet.Keyed(), mapping), nil
 }
 
-// CompareExampleSets aligns two raw example sets through the mapping
-// (map∆ of §6: pairs with identical input values) and contrasts outputs,
-// recomputing canonical keys on the fly. Prefer CompareKeyedSets when the
-// same sets participate in many comparisons — a catalog matrix, say.
-func CompareExampleSets(targetID, candidateID string, tSet, cSet dataexample.Set, mapping Mapping) Result {
-	return compareSets(targetID, candidateID, tSet, cSet, mapping)
-}
-
-// compareSets is the unkeyed alignment. Duplicate candidate input keys
-// keep the first occurrence, matching Set.ByInputKey (generation never
-// produces duplicates; the tie-break only matters for hand-built sets).
-func compareSets(targetID, candidateID string, tSet, cSet dataexample.Set, mapping Mapping) Result {
-	res := Result{TargetID: targetID, CandidateID: candidateID, Mapping: mapping, AgreeingKeys: map[string]bool{}}
-	cIdx := make(map[string]dataexample.Example, len(cSet))
-	for _, e := range cSet {
-		k := e.InputKey()
-		if _, dup := cIdx[k]; !dup {
-			cIdx[k] = e
-		}
-	}
-	for _, te := range tSet {
-		translated := translateInputs(te.Inputs, mapping.Inputs)
-		key := (dataexample.Example{Inputs: translated}).InputKey()
-		ce, ok := cIdx[key]
-		if !ok {
-			continue
-		}
-		res.Compared++
-		if outputsAgree(te.Outputs, ce.Outputs, mapping.Outputs) {
-			res.Agreeing++
-			res.AgreeingKeys[te.InputKey()] = true
-		}
-	}
-	res.Verdict = verdictFor(res.Compared, res.Agreeing)
-	return res
-}
-
-// CompareScratch holds the per-comparison buffers CompareKeyedSetsScratch
+// CompareScratch holds the per-comparison buffers CompareKeyedSets
 // reuses across calls, so a warm caller — a matrix sweep visiting tens of
 // thousands of cells — allocates nothing per comparison. A scratch must
 // not be shared between goroutines; give each worker its own.
@@ -192,27 +149,26 @@ type CompareScratch struct {
 	agreeing map[string]bool
 }
 
-// CompareKeyedSets is CompareExampleSets over key-interned sets: the
-// alignment probes the candidate's precomputed input-key index, and under
-// an identity mapping (parameter names coincide, the common case inside a
-// single catalog) the target's interned keys are reused outright instead
-// of re-canonicalising translated assignments. Equal interned output keys
-// prove agreement without touching the value maps; unequal keys fall back
-// to the per-parameter check, which also covers non-identity mappings.
-func CompareKeyedSets(targetID, candidateID string, tSet, cSet *dataexample.KeyedSet, mapping Mapping) Result {
-	return CompareKeyedSetsScratch(nil, targetID, candidateID, tSet, cSet, mapping)
-}
-
-// CompareKeyedSetsScratch is CompareKeyedSets with caller-owned scratch.
-// The returned Result's AgreeingKeys aliases the scratch and is valid
-// only until the next call with the same scratch; pass nil to get a
-// fresh, caller-owned map (identical to CompareKeyedSets).
+// CompareKeyedSets aligns two key-interned example sets through the
+// mapping (map∆ of §6: pairs with identical input values) and contrasts
+// outputs. The alignment probes the candidate's precomputed input-key
+// index, and under an identity mapping (parameter names coincide, the
+// common case inside a single catalog) the target's interned keys are
+// reused outright instead of re-canonicalising translated assignments.
+// Equal interned output keys prove agreement without touching the value
+// maps; unequal keys fall back to the per-parameter check, which also
+// covers non-identity mappings. Duplicate candidate input keys keep the
+// first occurrence, matching Set.ByInputKey.
 //
 // When both sets were interned in the same SymbolTable and the mapping is
 // the identity, the alignment runs entirely over symbol IDs: membership
-// is a bitset probe and output agreement a uint32 compare, with the
-// per-parameter value check only as the fallback for unequal output keys.
-func CompareKeyedSetsScratch(sc *CompareScratch, targetID, candidateID string, tSet, cSet *dataexample.KeyedSet, mapping Mapping) Result {
+// is a bitset probe and output agreement a uint32 compare.
+//
+// sc is optional caller-owned scratch. With a scratch, the returned
+// Result's AgreeingKeys aliases it and is valid only until the next call
+// with the same scratch; with nil, AgreeingKeys is a fresh, caller-owned
+// map.
+func CompareKeyedSets(sc *CompareScratch, targetID, candidateID string, tSet, cSet *dataexample.KeyedSet, mapping Mapping) Result {
 	res := Result{TargetID: targetID, CandidateID: candidateID, Mapping: mapping}
 	if sc != nil {
 		if sc.agreeing == nil {
@@ -281,26 +237,19 @@ func identityMapping(m map[string]string) bool {
 // cannot be invoked, but its examples survive in provenance. The target's
 // parameter signature must be supplied since the module itself is gone.
 func (c *Comparer) CompareAgainstExamples(targetSig *module.Module, targetSet dataexample.Set, candidate *module.Module) (Result, error) {
-	return c.compareAgainstExamples(targetSig, targetSet, candidate, func(i int) string {
-		return targetSet[i].InputKey()
-	})
+	return c.compareAgainstKeyed(targetSig, targetSet.Keyed(), candidate)
 }
 
-// compareAgainstKeyedExamples is CompareAgainstExamples with the target's
-// canonical keys interned once per search instead of re-derived per
-// agreeing pair per candidate — FindSubstitutes keys the target set once
-// and reuses it across the whole candidate field.
-func (c *Comparer) compareAgainstKeyedExamples(targetSig *module.Module, keyed *dataexample.KeyedSet, candidate *module.Module) (Result, error) {
-	return c.compareAgainstExamples(targetSig, keyed.Examples(), candidate, keyed.InputKey)
-}
-
-func (c *Comparer) compareAgainstExamples(targetSig *module.Module, targetSet dataexample.Set, candidate *module.Module, inputKeyAt func(int) string) (Result, error) {
+// compareAgainstKeyed is CompareAgainstExamples over a keyed target set,
+// so a substitute search keys the target once and reuses its canonical
+// keys across the whole candidate field.
+func (c *Comparer) compareAgainstKeyed(targetSig *module.Module, target *dataexample.KeyedSet, candidate *module.Module) (Result, error) {
 	mapping, ok := MapParameters(c.Ont, targetSig, candidate, c.Mode)
 	if !ok {
 		return Result{TargetID: targetSig.ID, CandidateID: candidate.ID, Verdict: Incomparable}, nil
 	}
 	res := Result{TargetID: targetSig.ID, CandidateID: candidate.ID, Mapping: mapping, AgreeingKeys: map[string]bool{}}
-	for i, te := range targetSet {
+	for i, te := range target.Examples() {
 		inputs := translateInputs(te.Inputs, mapping.Inputs)
 		outs, err := candidate.Invoke(inputs)
 		res.Compared++
@@ -312,7 +261,7 @@ func (c *Comparer) compareAgainstExamples(targetSig *module.Module, targetSet da
 		}
 		if outputsAgree(te.Outputs, outs, mapping.Outputs) {
 			res.Agreeing++
-			res.AgreeingKeys[inputKeyAt(i)] = true
+			res.AgreeingKeys[target.InputKey(i)] = true
 		}
 	}
 	res.Verdict = verdictFor(res.Compared, res.Agreeing)

@@ -165,15 +165,9 @@ func (im *IncrementalMatrix) Matrix(ctx context.Context, mods []*module.Module, 
 		span.Annotate("build", "incremental")
 	}
 
-	mm := &MatchMatrix{
-		Mode:    im.cmp.Mode.String(),
-		Modules: in.ids,
-		Missing: in.missing,
-		Cells:   []MatrixCell{},
-		Stats:   MatrixStats{Modules: n, Pairs: n * (n - 1)},
-	}
+	mm := newMatrix(im.cmp.Mode, &in, n*(n-1))
 	if n >= 2 {
-		assembleMatrix(mm, &in, grid)
+		assembleMatrix(mm, &in, grid, nil)
 	}
 
 	im.built = true

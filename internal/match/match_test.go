@@ -1,6 +1,7 @@
 package match
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -364,7 +365,7 @@ func TestFindSubstitutes(t *testing.T) {
 		seqModule("disjoint", prefixer("Z:")),
 		seqModule("aa-equiv", prefixer("X:")),
 	}
-	subs, err := f.cmp.FindSubstitutes(un, candidates)
+	subs, err := f.cmp.FindSubstitutesContext(context.Background(), un, candidates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,21 +379,16 @@ func TestFindSubstitutes(t *testing.T) {
 	if len(subs.Skipped) != 0 {
 		t.Errorf("skipped = %v, want none", subs.Skipped)
 	}
-	best, err := f.cmp.BestSubstitute(un, candidates)
-	if err != nil || best == nil || best.Module.ID != "aa-equiv" {
-		t.Errorf("best = %+v, %v", best, err)
+	// The target itself never competes: alone in the field, nothing ranks.
+	self, err := f.cmp.FindSubstitutesContext(context.Background(), un, []*module.Module{target})
+	if err != nil || len(self.Ranked) != 0 {
+		t.Errorf("self-match = %+v, %v", self.Ranked, err)
 	}
 
-	// The target itself is skipped; no candidates -> nil.
-	none, err := f.cmp.BestSubstitute(un, []*module.Module{target})
-	if err != nil || none != nil {
-		t.Errorf("self-match = %+v, %v", none, err)
-	}
-
-	if _, err := f.cmp.FindSubstitutes(Unavailable{}, candidates); err == nil {
+	if _, err := f.cmp.FindSubstitutesContext(context.Background(), Unavailable{}, candidates); err == nil {
 		t.Error("missing signature should fail")
 	}
-	if _, err := f.cmp.FindSubstitutes(Unavailable{Signature: target}, candidates); err == nil {
+	if _, err := f.cmp.FindSubstitutesContext(context.Background(), Unavailable{Signature: target}, candidates); err == nil {
 		t.Error("missing examples should fail")
 	}
 }

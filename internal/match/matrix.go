@@ -3,8 +3,9 @@ package match
 import (
 	"context"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,12 +14,6 @@ import (
 	"dexa/internal/module"
 	"dexa/internal/telemetry"
 )
-
-// SetSource yields the example set annotating one module for a matrix
-// build: a generation cache, the persistent store, or any map. Returning
-// false marks the module as unannotated; it is listed in Missing and
-// excluded from the pair sweep.
-type SetSource func(id string) (set dataexample.Set, ok bool)
 
 // KeyedSource yields the key-interned example set annotating one module.
 // Sources that key (and intern) once per store write — *store.Store via
@@ -89,13 +84,17 @@ type matrixInputs struct {
 }
 
 func resolveMatrixInputs(mods []*module.Module, source KeyedSource) matrixInputs {
-	var in matrixInputs
+	sorted := make([]*module.Module, 0, len(mods))
 	seen := make(map[string]bool, len(mods))
 	for _, m := range mods {
-		if m == nil || seen[m.ID] {
-			continue
+		if m != nil && !seen[m.ID] {
+			seen[m.ID] = true
+			sorted = append(sorted, m)
 		}
-		seen[m.ID] = true
+	}
+	slices.SortFunc(sorted, func(a, b *module.Module) int { return strings.Compare(a.ID, b.ID) })
+	var in matrixInputs
+	for _, m := range sorted {
 		set, ok := source(m.ID)
 		if !ok {
 			in.missing = append(in.missing, m.ID)
@@ -105,21 +104,7 @@ func resolveMatrixInputs(mods []*module.Module, source KeyedSource) matrixInputs
 		in.sigs = append(in.sigs, m)
 		in.keyed = append(in.keyed, set)
 	}
-	// Sort the three columns together by module ID.
-	sort.Sort(byMatrixID{&in})
-	sort.Strings(in.missing)
 	return in
-}
-
-// byMatrixID sorts a matrixInputs' parallel columns by module ID.
-type byMatrixID struct{ in *matrixInputs }
-
-func (s byMatrixID) Len() int           { return len(s.in.ids) }
-func (s byMatrixID) Less(i, j int) bool { return s.in.ids[i] < s.in.ids[j] }
-func (s byMatrixID) Swap(i, j int) {
-	s.in.ids[i], s.in.ids[j] = s.in.ids[j], s.in.ids[i]
-	s.in.sigs[i], s.in.sigs[j] = s.in.sigs[j], s.in.sigs[i]
-	s.in.keyed[i], s.in.keyed[j] = s.in.keyed[j], s.in.keyed[i]
 }
 
 func (in *matrixInputs) rank() map[string]int {
@@ -143,23 +128,6 @@ type matrixScratch struct {
 // (target index, candidate index) before any mapping or alignment.
 type pruneFunc func(ti, ci int) bool
 
-// MatchMatrixFromSets materialises the all-pairs verdict map over the
-// given modules, reading each module's example set from sets (the store,
-// a generation cache, …) and keying it into a build-local symbol table.
-// Prefer MatchMatrixFromKeyedSets with pre-interned sets when the caller
-// keeps them — a serving layer, say — so repeated builds skip the
-// canonicalisation pass entirely.
-func (c *Comparer) MatchMatrixFromSets(ctx context.Context, mods []*module.Module, sets SetSource) (*MatchMatrix, error) {
-	tab := dataexample.NewSymbolTable()
-	return c.MatchMatrixFromKeyedSets(ctx, mods, func(id string) (*dataexample.KeyedSet, bool) {
-		set, ok := sets(id)
-		if !ok {
-			return nil, false
-		}
-		return set.KeyedInterned(tab), true
-	})
-}
-
 // MatchMatrixFromKeyedSets materialises the all-pairs verdict map over
 // pre-keyed example sets. The sweep is pure set alignment — no module is
 // invoked — so it runs over stored annotations of retired modules just
@@ -178,27 +146,42 @@ func (c *Comparer) MatchMatrixFromSets(ctx context.Context, mods []*module.Modul
 // When the Comparer carries a CatalogIndex, each target's feasibility
 // query prunes the infeasible candidate row before any alignment.
 func (c *Comparer) MatchMatrixFromKeyedSets(ctx context.Context, mods []*module.Module, source KeyedSource) (*MatchMatrix, error) {
-	_, span := telemetry.StartSpan(ctx, "match.matrix")
+	return c.matrix(ctx, "match.matrix", mods, source, nil)
+}
+
+// matrix runs one matrix build under a span named spanName: over every
+// unordered pair when assigned is nil, otherwise over the pairs whose
+// owner — the smaller module ID — satisfies assigned.
+func (c *Comparer) matrix(ctx context.Context, spanName string, mods []*module.Module, source KeyedSource, assigned func(id string) bool) (*MatchMatrix, error) {
+	_, span := telemetry.StartSpan(ctx, spanName)
 	defer span.End()
 	met := newMatchMetrics(c.Metrics)
 
 	in := resolveMatrixInputs(mods, source)
 	n := len(in.ids)
-	mm := &MatchMatrix{
-		Mode:    c.Mode.String(),
-		Modules: in.ids,
-		Missing: in.missing,
-		Cells:   []MatrixCell{},
-		Stats:   MatrixStats{Modules: n, Pairs: n * (n - 1)},
+	pairs := n * (n - 1)
+	var own []bool
+	var need func(a, b int) bool
+	if assigned != nil {
+		own = make([]bool, n)
+		pairs = 0
+		for i, id := range in.ids {
+			if assigned(id) {
+				own[i] = true
+				pairs += 2 * (n - 1 - i) // both directions of each owned pair
+			}
+		}
+		need = func(a, b int) bool { return own[a] }
 	}
-	if n < 2 {
+	mm := newMatrix(c.Mode, &in, pairs)
+	if pairs == 0 {
 		return mm, ctx.Err()
 	}
-	grid, err := c.buildGrid(ctx, &in, nil, &met)
+	grid, err := c.buildGrid(ctx, &in, need, &met)
 	if err != nil {
 		return nil, err
 	}
-	assembleMatrix(mm, &in, grid)
+	assembleMatrix(mm, &in, grid, own)
 	met.comparisons.Add(uint64(mm.Stats.Compared))
 	met.pruned.Add(uint64(mm.Stats.Pruned))
 	span.Annotate("modules", strconv.Itoa(n))
@@ -207,6 +190,17 @@ func (c *Comparer) MatchMatrixFromKeyedSets(ctx context.Context, mods []*module.
 	span.Annotate("compared", strconv.Itoa(mm.Stats.Compared))
 	span.Annotate("mirrored", strconv.Itoa(mm.Stats.Mirrored))
 	return mm, nil
+}
+
+// newMatrix is the cell-less matrix over resolved inputs.
+func newMatrix(mode Mode, in *matrixInputs, pairs int) *MatchMatrix {
+	return &MatchMatrix{
+		Mode:    mode.String(),
+		Modules: in.ids,
+		Missing: in.missing,
+		Cells:   []MatrixCell{},
+		Stats:   MatrixStats{Modules: len(in.ids), Pairs: pairs},
+	}
 }
 
 // buildGrid runs the sweep: per-target feasibility rows, then every
@@ -338,25 +332,31 @@ func (c *Comparer) directionCell(in *matrixInputs, ti, ci int, mapping Mapping, 
 // alignCell runs the example alignment for one ordered direction.
 func (c *Comparer) alignCell(in *matrixInputs, ti, ci int, mapping Mapping, sc *matrixScratch, met *matchMetrics) cell {
 	start := time.Now()
-	res := CompareKeyedSetsScratch(&sc.cmp, in.ids[ti], in.ids[ci], in.keyed[ti], in.keyed[ci], mapping)
+	res := CompareKeyedSets(&sc.cmp, in.ids[ti], in.ids[ci], in.keyed[ti], in.keyed[ci], mapping)
 	met.matrixCells.Observe(time.Since(start).Seconds())
 	return cell{verdict: res.Verdict, score: res.Score(), compared: res.Compared, agreeing: res.Agreeing, aligned: true}
 }
 
 // assembleMatrix emits the grid row-major by (target, candidate) and
-// derives the stats from the per-cell provenance flags.
-func assembleMatrix(mm *MatchMatrix, in *matrixInputs, grid []cell) {
+// derives the stats from the per-cell provenance flags. With own set, an
+// ordered cell (a, b) belongs to the matrix only when the smaller index
+// of its pair is owned: a shard's slice. Unowned cells in the grid are
+// untouched zero values and must not leak into the stats.
+func assembleMatrix(mm *MatchMatrix, in *matrixInputs, grid []cell, own []bool) {
 	n := len(in.ids)
 	count := 0
-	for i := range grid {
-		if i/n != i%n && grid[i].verdict != Incomparable {
-			count++
+	for a := 0; a < n; a++ {
+		row := grid[a*n : (a+1)*n]
+		for b := range row {
+			if row[b].verdict != Incomparable && a != b && (own == nil || own[min(a, b)]) {
+				count++
+			}
 		}
 	}
 	mm.Cells = make([]MatrixCell, 0, count)
 	for a := 0; a < n; a++ {
 		for b := 0; b < n; b++ {
-			if a == b {
+			if a == b || (own != nil && !own[min(a, b)]) {
 				continue
 			}
 			cr := grid[a*n+b]

@@ -1,6 +1,7 @@
 package match
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -38,7 +39,7 @@ func TestFindSubstitutesRecoversPanickingCandidate(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			subs, err = f.cmp.FindSubstitutes(un, candidates)
+			subs, err = f.cmp.FindSubstitutesContext(context.Background(), un, candidates)
 		}()
 		select {
 		case <-done:
@@ -79,7 +80,7 @@ func TestFindSubstitutesManyPanickingCandidates(t *testing.T) {
 	)
 	go func() {
 		defer close(done)
-		subs, err = f.cmp.FindSubstitutes(un, candidates)
+		subs, err = f.cmp.FindSubstitutesContext(context.Background(), un, candidates)
 	}()
 	select {
 	case <-done:

@@ -1,6 +1,7 @@
 package match
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -96,7 +97,7 @@ func TestPrunedSearchMatchesExhaustive(t *testing.T) {
 			f.cmp.Mode = mode
 			f.cmp.Index = nil
 			f.cmp.Workers = 1
-			want, err := f.cmp.FindSubstitutes(un, mods)
+			want, err := f.cmp.FindSubstitutesContext(context.Background(), un, mods)
 			if err != nil {
 				t.Fatalf("seed %d/%s: exhaustive: %v", seed, mode, err)
 			}
@@ -104,7 +105,7 @@ func TestPrunedSearchMatchesExhaustive(t *testing.T) {
 			f.cmp.Index = ix
 			for _, workers := range []int{1, 4} {
 				f.cmp.Workers = workers
-				got, err := f.cmp.FindSubstitutes(un, mods)
+				got, err := f.cmp.FindSubstitutesContext(context.Background(), un, mods)
 				if err != nil {
 					t.Fatalf("seed %d/%s/w%d: pruned: %v", seed, mode, workers, err)
 				}

@@ -40,19 +40,19 @@ type Skipped struct {
 
 // Substitutes is the outcome of a substitute search.
 type Substitutes struct {
-	// Ranked lists the qualifying candidates best-first (see FindSubstitutes
-	// for the order).
+	// Ranked lists the qualifying candidates best-first (see
+	// FindSubstitutesContext for the order).
 	Ranked []Candidate
 	// Skipped lists candidates whose comparison errored, in catalog order.
 	Skipped []Skipped
 }
 
-// FindSubstitutes ranks the available modules that can play the role of
-// the unavailable one: Equivalent candidates first, then Overlapping by
-// descending agreement score, ties broken by module ID for determinism.
-// Disjoint and Incomparable candidates are excluded; candidates whose
-// comparison errors (or panics) are reported in Skipped rather than
-// failing the search.
+// FindSubstitutesContext ranks the available modules that can play the
+// role of the unavailable one: Equivalent candidates first, then
+// Overlapping by descending agreement score, ties broken by module ID for
+// determinism. Disjoint and Incomparable candidates are excluded;
+// candidates whose comparison errors (or panics) are reported in Skipped
+// rather than failing the search.
 //
 // When the Comparer carries a CatalogIndex, candidates whose signature
 // provably admits no parameter mapping are pruned before any example
@@ -65,14 +65,11 @@ type Substitutes struct {
 // exactly one worker, and the ranking and skip list are assembled in a
 // deterministic order independent of scheduling, so the result is
 // byte-identical to a sequential search.
-func (c *Comparer) FindSubstitutes(target Unavailable, available []*module.Module) (Substitutes, error) {
-	return c.FindSubstitutesContext(context.Background(), target, available)
-}
-
-// FindSubstitutesContext is FindSubstitutes with a context: when a tracer
-// rides the context the search records a span annotated with the
-// candidate, pruned and compared counts (the prune ratio shows up in
-// /debug/traces per request).
+//
+// Once ctx is done no further candidate is invoked and the search returns
+// ctx.Err(). When a tracer rides the context the search records a span
+// annotated with the candidate, pruned and compared counts (the prune
+// ratio shows up in /debug/traces per request).
 func (c *Comparer) FindSubstitutesContext(ctx context.Context, target Unavailable, available []*module.Module) (Substitutes, error) {
 	if target.Signature == nil {
 		return Substitutes{}, fmt.Errorf("match: unavailable module has no signature")
@@ -109,7 +106,7 @@ func (c *Comparer) FindSubstitutesContext(ctx context.Context, target Unavailabl
 				err = fmt.Errorf("match: comparing candidate %s: panic: %v", available[i].ID, p)
 			}
 		}()
-		return c.compareAgainstKeyedExamples(target.Signature, keyed, available[i])
+		return c.compareAgainstKeyed(target.Signature, keyed, available[i])
 	}
 	// runnable enumerates the candidate indices that actually compare:
 	// the target itself never competes, and index-pruned candidates are
@@ -138,6 +135,9 @@ func (c *Comparer) FindSubstitutesContext(ctx context.Context, target Unavailabl
 		// Inline fast path: a one-worker pool would pay a channel handoff
 		// per candidate for no concurrency.
 		for _, i := range runnable {
+			if ctx.Err() != nil {
+				break
+			}
 			res, err := compareOne(i)
 			slots[i] = slot{res: res, err: err}
 		}
@@ -155,10 +155,16 @@ func (c *Comparer) FindSubstitutesContext(ctx context.Context, target Unavailabl
 			}()
 		}
 		for _, i := range runnable {
+			if ctx.Err() != nil {
+				break
+			}
 			jobs <- i
 		}
 		close(jobs)
 		wg.Wait()
+	}
+	if err := ctx.Err(); err != nil {
+		return Substitutes{}, err
 	}
 	met.comparisons.Add(uint64(len(runnable)))
 	met.pruned.Add(uint64(pruned))
@@ -194,14 +200,4 @@ func (c *Comparer) FindSubstitutesContext(ctx context.Context, target Unavailabl
 		return a.Module.ID < b.Module.ID
 	})
 	return out, nil
-}
-
-// BestSubstitute returns the top-ranked substitute, or nil when none
-// qualifies.
-func (c *Comparer) BestSubstitute(target Unavailable, available []*module.Module) (*Candidate, error) {
-	subs, err := c.FindSubstitutes(target, available)
-	if err != nil || len(subs.Ranked) == 0 {
-		return nil, err
-	}
-	return &subs.Ranked[0], nil
 }

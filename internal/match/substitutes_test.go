@@ -1,12 +1,14 @@
 package match
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"dexa/internal/core"
 	"dexa/internal/module"
 	"dexa/internal/typesys"
 )
@@ -66,7 +68,7 @@ func TestFindSubstitutesSkipsBrokenCandidate(t *testing.T) {
 	broken := brokenModule("broken", "connection refused: candidate endpoint is gone")
 	candidates = append([]*module.Module{broken}, candidates...)
 
-	subs, err := f.cmp.FindSubstitutes(un, candidates)
+	subs, err := f.cmp.FindSubstitutesContext(context.Background(), un, candidates)
 	if err != nil {
 		t.Fatalf("search aborted on a broken candidate: %v", err)
 	}
@@ -94,13 +96,13 @@ func TestFindSubstitutesParallelMatchesSequential(t *testing.T) {
 	f, un, candidates := substituteWorld(t)
 	candidates = append(candidates, brokenModule("broken", "boom"))
 	f.cmp.Workers = 1
-	sequential, err := f.cmp.FindSubstitutes(un, candidates)
+	sequential, err := f.cmp.FindSubstitutesContext(context.Background(), un, candidates)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 3, 32} {
 		f.cmp.Workers = workers
-		got, err := f.cmp.FindSubstitutes(un, candidates)
+		got, err := f.cmp.FindSubstitutesContext(context.Background(), un, candidates)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +116,7 @@ func TestFindSubstitutesParallelMatchesSequential(t *testing.T) {
 // once over one Comparer (run with -race to back the concurrency doc).
 func TestFindSubstitutesConcurrentCallers(t *testing.T) {
 	f, un, candidates := substituteWorld(t)
-	want, err := f.cmp.FindSubstitutes(un, candidates)
+	want, err := f.cmp.FindSubstitutesContext(context.Background(), un, candidates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +126,7 @@ func TestFindSubstitutesConcurrentCallers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				got, err := f.cmp.FindSubstitutes(un, candidates)
+				got, err := f.cmp.FindSubstitutesContext(context.Background(), un, candidates)
 				if err != nil || !reflect.DeepEqual(got, want) {
 					t.Errorf("concurrent search diverged: %v", err)
 					return
@@ -156,7 +158,7 @@ func TestCachedComparerGeneratesOncePerModule(t *testing.T) {
 	target := counted("target")
 	cands := []*module.Module{counted("c1"), counted("c2"), counted("c3")}
 
-	cmp := NewCachedComparer(f.ont, f.gen)
+	cmp := NewComparer(f.ont, core.NewCachedGenerator(f.gen))
 	for _, c := range cands {
 		if _, err := cmp.Compare(target, c); err != nil {
 			t.Fatal(err)
@@ -172,5 +174,40 @@ func TestCachedComparerGeneratesOncePerModule(t *testing.T) {
 		if invocations[c.ID] != 4 {
 			t.Errorf("candidate %s invoked %d times, want 4", c.ID, invocations[c.ID])
 		}
+	}
+}
+
+// TestFindSubstitutesHonoursCancellation: a search under an already
+// cancelled context invokes no candidate executor, at any worker width,
+// and reports the context's error.
+func TestFindSubstitutesHonoursCancellation(t *testing.T) {
+	f, un, _ := substituteWorld(t)
+	var mu sync.Mutex
+	invoked := 0
+	var candidates []*module.Module
+	for i := 0; i < 6; i++ {
+		m := seqModule(string(rune('a'+i))+"-counted", nil)
+		m.Bind(module.ExecFunc(func(in map[string]typesys.Value) (map[string]typesys.Value, error) {
+			mu.Lock()
+			invoked++
+			mu.Unlock()
+			return map[string]typesys.Value{"acc": typesys.Str("X:" + string(in["seq"].(typesys.StringValue)))}, nil
+		}))
+		candidates = append(candidates, m)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 4} {
+		f.cmp.Workers = workers
+		subs, err := f.cmp.FindSubstitutesContext(ctx, un, candidates)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if len(subs.Ranked) != 0 || len(subs.Skipped) != 0 {
+			t.Errorf("workers=%d: cancelled search returned %+v", workers, subs)
+		}
+	}
+	if invoked != 0 {
+		t.Errorf("cancelled search invoked candidates %d times, want 0", invoked)
 	}
 }

@@ -116,7 +116,7 @@ func (s *Server) handleClusterSets(w http.ResponseWriter, r *http.Request) {
 
 // handleClusterSubstitutes ranks this shard's slice of the candidate set
 // against the target's examples (shipped in the body — only the owner
-// shard stores them). Candidates run through the same FindSubstitutes
+// shard stores them). Candidates run through the same FindSubstitutesContext
 // path the single-node search uses, so each slice carries exactly the
 // entries the oracle would have produced for those candidates.
 func (s *Server) handleClusterSubstitutes(w http.ResponseWriter, r *http.Request) {

@@ -1,6 +1,7 @@
 package simulation
 
 import (
+	"context"
 	"testing"
 
 	"dexa/internal/match"
@@ -106,9 +107,9 @@ func TestLegacyMatchingVerdicts(t *testing.T) {
 		if !ok || len(examples) == 0 {
 			t.Fatalf("no examples reconstructed for %s", lm.Module.ID)
 		}
-		subs, err := cmp.FindSubstitutes(match.Unavailable{Signature: lm.Module, Examples: examples}, available)
+		subs, err := cmp.FindSubstitutesContext(context.Background(), match.Unavailable{Signature: lm.Module, Examples: examples}, available)
 		if err != nil {
-			t.Fatalf("FindSubstitutes(%s): %v", lm.Module.ID, err)
+			t.Fatalf("FindSubstitutesContext(%s): %v", lm.Module.ID, err)
 		}
 		cands := subs.Ranked
 		var got ExpectedMatch

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"dexa/internal/dataexample"
@@ -123,21 +122,18 @@ func (s *Store) committer() {
 
 // appendLocked encodes one record and buffers its frame. An encoding
 // failure fails only this op (nothing touched the log); a write
-// failure also arms abortErr — the buffered writer's error is sticky,
-// so every later op in the batch must fail rather than stack frames
-// behind a torn one.
+// failure also arms abortErr — the segment latches it, so every later
+// op in the batch must fail rather than stack frames behind a torn
+// one.
 func (s *Store) appendLocked(rec Record, op *commitOp, abortErr *error) error {
 	if s.wal == nil {
 		return nil
 	}
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		op.res.Err = fmt.Errorf("store: encoding wal record: %w", err)
-		return op.res.Err
-	}
-	if err := s.wal.appendFrame(EncodeFrame(payload)); err != nil {
+	if err := appendRecord(s.wal, rec); err != nil {
 		op.res.Err = err
-		*abortErr = fmt.Errorf("store: batch aborted: %w", err)
+		if s.wal.err != nil {
+			*abortErr = fmt.Errorf("store: batch aborted: %w", err)
+		}
 		return err
 	}
 	s.met.walAppends.Inc()
@@ -282,14 +278,7 @@ func (s *Store) commitLocked(batch []*commitReq) {
 	}
 	recs := make([]Record, 0, len(writes))
 	for _, pw := range writes {
-		sh := s.shard(pw.rec.Module)
-		sh.mu.Lock()
-		if pw.rec.Op == OpPut {
-			sh.recs[pw.rec.Module] = pw.idx
-		} else {
-			delete(sh.recs, pw.rec.Module)
-		}
-		sh.mu.Unlock()
+		s.publish(pw.rec.Module, pw.idx)
 		if pw.rec.Op == OpPut {
 			s.puts.Add(1)
 		} else {

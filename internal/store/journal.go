@@ -1,46 +1,41 @@
 package store
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
 )
 
-// Journal is a general-purpose append-only log of JSON records using the
-// same physical frame format as the example-store WAL (length + CRC-32 +
-// payload, torn-tail truncation on open). It backs subsystems that need a
-// durable, replayable event stream without the store's snapshot machinery:
-// the lifecycle event log and the repair queue.
-//
-//	file   = magic frame*
-//	magic  = "DEXAJNL1"                       (8 bytes)
-//	frame  = length(uint32 BE) crc32(uint32 BE) payload
+// Journal is a general-purpose append-only log of JSON records: a log
+// segment (see segment.go) under the magic "DEXAJNL1", in the same frame
+// format as the example-store WAL, with the same torn-tail truncation on
+// open. It backs subsystems that need a durable, replayable event stream
+// without the store's snapshot machinery: the lifecycle event log and the
+// repair queue.
 //
 // A Journal opened with an empty path is memory-only: appends succeed and
 // are forgotten, which keeps callers free of "is persistence on?" branches.
 type Journal struct {
-	mu        sync.Mutex
-	path      string
-	f         *os.File
-	records   int64
-	bytes     int64
-	truncated bool
-	closed    bool
+	mu      sync.Mutex
+	seg     *segment // nil when memory-only
+	records int64    // memory-only append count
+	closed  bool
 }
 
 const journalMagic = "DEXAJNL1"
 
+// journalBufferSize bounds one buffered append; Append flushes every
+// record through to the kernel before it returns.
+const journalBufferSize = 4 << 10
+
 // OpenJournal opens (or creates) the journal at path, invoking replay for
 // every intact record before returning. Records after a torn or corrupt
 // tail are discarded and the file is truncated back to the last good
-// frame, mirroring the store WAL's crash-recovery contract. replay may be
-// nil when the caller does not need the history. An empty path yields a
-// memory-only journal.
+// frame, mirroring the store WAL's crash-recovery contract; an error from
+// replay fails the open. replay may be nil when the caller does not need
+// the history. An empty path yields a memory-only journal.
 func OpenJournal(path string, replay func(payload []byte) error) (*Journal, error) {
 	if path == "" {
 		return &Journal{}, nil
@@ -48,98 +43,26 @@ func OpenJournal(path string, replay func(payload []byte) error) (*Journal, erro
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating journal dir: %w", err)
 	}
-	j := &Journal{path: path}
-	goodSize, truncatedAt, err := j.replay(replay)
+	n := 0
+	seg, err := openSegment(path, journalMagic, "journal", journalBufferSize, func(payload []byte) error {
+		if replay != nil {
+			if err := replay(payload); err != nil {
+				return fmt.Errorf("store: replaying journal record %d: %w", n, err)
+			}
+		}
+		n++
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if goodSize == 0 {
-		// Missing, or damaged before the first frame: start fresh.
-		f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("store: creating journal: %w", err)
-		}
-		if _, err := f.WriteString(journalMagic); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("store: writing journal header: %w", err)
-		}
-		j.f = f
-		j.bytes = int64(len(journalMagic))
-		j.records = 0
-		return j, nil
-	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: opening journal: %w", err)
-	}
-	if truncatedAt >= 0 {
-		if err := f.Truncate(goodSize); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("store: truncating torn journal tail: %w", err)
-		}
-		j.truncated = true
-	}
-	if _, err := f.Seek(goodSize, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: seeking journal end: %w", err)
-	}
-	j.f = f
-	j.bytes = goodSize
-	return j, nil
+	return &Journal{seg: seg}, nil
 }
 
-// replay scans the file, handing each intact payload to fn, and reports
-// the size of the good prefix plus where (if anywhere) a torn tail began.
-func (j *Journal) replay(fn func(payload []byte) error) (goodSize int64, truncatedAt int64, err error) {
-	f, err := os.Open(j.path)
-	if os.IsNotExist(err) {
-		return 0, -1, nil
-	}
-	if err != nil {
-		return 0, -1, fmt.Errorf("store: opening journal: %w", err)
-	}
-	defer f.Close()
-
-	magic := make([]byte, len(journalMagic))
-	if _, err := io.ReadFull(f, magic); err != nil {
-		return 0, 0, nil // crash during creation; recreate from scratch
-	}
-	if string(magic) != journalMagic {
-		return 0, -1, fmt.Errorf("store: %s is not a journal (bad magic)", j.path)
-	}
-	offset := int64(len(journalMagic))
-	header := make([]byte, walFrameOverhead)
-	for {
-		if _, err := io.ReadFull(f, header); err != nil {
-			if err == io.EOF {
-				return offset, -1, nil // clean end
-			}
-			return offset, offset, nil // torn frame header
-		}
-		length := binary.BigEndian.Uint32(header[0:4])
-		sum := binary.BigEndian.Uint32(header[4:8])
-		if length > maxWALRecordSize {
-			return offset, offset, nil // corrupt length prefix
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return offset, offset, nil // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return offset, offset, nil // bit rot / partial overwrite
-		}
-		if fn != nil {
-			if err := fn(payload); err != nil {
-				return offset, -1, fmt.Errorf("store: replaying journal record %d: %w", j.records, err)
-			}
-		}
-		offset += walFrameOverhead + int64(length)
-		j.records++
-	}
-}
-
-// Append marshals v as JSON and frames it onto the log. It does not sync;
-// callers decide the durability point (see Sync).
+// Append marshals v as JSON and writes its frame through to the kernel.
+// It does not sync; callers decide the durability point (see Sync). After
+// a failed write every later Append fails too: the torn frame would make
+// replay drop whatever followed it.
 func (j *Journal) Append(v any) error {
 	payload, err := json.Marshal(v)
 	if err != nil {
@@ -150,32 +73,24 @@ func (j *Journal) Append(v any) error {
 	if j.closed {
 		return fmt.Errorf("store: journal is closed")
 	}
-	j.records++
-	if j.f == nil {
-		return nil // memory-only
+	if j.seg == nil {
+		j.records++ // memory-only
+		return nil
 	}
-	frame := make([]byte, walFrameOverhead+len(payload))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[8:], payload)
-	if _, err := j.f.Write(frame); err != nil {
-		return fmt.Errorf("store: appending journal record: %w", err)
+	if err := j.seg.append(payload); err != nil {
+		return err
 	}
-	j.bytes += int64(len(frame))
-	return nil
+	return j.seg.flush()
 }
 
 // Sync forces appended records to stable storage.
 func (j *Journal) Sync() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
+	if j.seg == nil || j.closed {
 		return nil
 	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("store: syncing journal: %w", err)
-	}
-	return nil
+	return j.seg.sync()
 }
 
 // Close syncs and closes the underlying file. Further appends fail.
@@ -186,30 +101,25 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	j.closed = true
-	if j.f == nil {
+	if j.seg == nil {
 		return nil
 	}
-	err := j.f.Sync()
-	if cerr := j.f.Close(); err == nil {
-		err = cerr
-	}
-	j.f = nil
-	if err != nil {
-		return fmt.Errorf("store: closing journal: %w", err)
-	}
-	return nil
+	return j.seg.close()
 }
 
 // Records returns the number of records replayed plus appended.
 func (j *Journal) Records() int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.records
+	if j.seg == nil {
+		return j.records
+	}
+	return j.seg.records
 }
 
 // TailTruncated reports whether opening discarded a torn or corrupt tail.
 func (j *Journal) TailTruncated() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.truncated
+	return j.seg != nil && j.seg.truncated
 }

@@ -20,7 +20,7 @@ import (
 //   - cursor before the window  → TailSince returns the full live state
 //     with reset=true; the follower replaces its state wholesale
 //
-// The follower side applies deltas through ApplyReplicated — the same
+// The follower side applies deltas through ApplyReplicatedBatch — the same
 // code path WAL replay uses — with the lifecycle log's contiguity
 // contract: records must arrive in exact sequence order, a gap is an
 // error (never silently absorbed), and records at or below the local
@@ -164,12 +164,6 @@ func (s *Store) TailSince(cursor uint64, limit int) (recs []Record, next uint64,
 	return recs, s.seq, true
 }
 
-// ApplyReplicated applies a contiguous batch of leader records to a
-// follower store. It is ApplyReplicatedBatch under its historical name.
-func (s *Store) ApplyReplicated(recs []Record) (applied, skipped int, err error) {
-	return s.ApplyReplicatedBatch(recs)
-}
-
 // ApplyReplicatedBatch applies a contiguous batch of leader records to
 // a follower store batch-natively: every record is validated and
 // appended to the follower's own WAL through the buffered writer, the
@@ -204,7 +198,7 @@ func (s *Store) ApplyReplicatedBatch(recs []Record) (applied, skipped int, err e
 			break
 		}
 		if s.wal != nil {
-			if werr := s.wal.append(rec); werr != nil {
+			if werr := appendRecord(s.wal, rec); werr != nil {
 				verr = werr
 				break
 			}
@@ -283,16 +277,13 @@ func (s *Store) ResetReplicated(recs []Record, seq uint64) error {
 		if ver == 0 {
 			ver = 1
 		}
-		sh := s.shard(rec.Module)
-		sh.mu.Lock()
-		sh.recs[rec.Module] = &record{
+		s.publish(rec.Module, &record{
 			set:     rec.Examples,
 			keyed:   rec.Examples.KeyedInterned(s.symtab),
 			hash:    rec.Hash,
 			version: ver,
 			seq:     rec.Seq,
-		}
-		sh.mu.Unlock()
+		})
 		s.puts.Add(1)
 	}
 	s.seq = seq

@@ -1,9 +1,11 @@
 package store
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"dexa/internal/dataexample"
@@ -28,9 +30,9 @@ func drain(t *testing.T, leader, follower *Store) (applied, skipped int) {
 	if reset {
 		t.Fatalf("expected incremental delta from cursor %d, got reset", follower.Seq())
 	}
-	a, sk, err := follower.ApplyReplicated(recs)
+	a, sk, err := follower.ApplyReplicatedBatch(recs)
 	if err != nil {
-		t.Fatalf("ApplyReplicated: %v", err)
+		t.Fatalf("ApplyReplicatedBatch: %v", err)
 	}
 	if follower.Seq() != next {
 		t.Fatalf("follower seq %d, want next cursor %d", follower.Seq(), next)
@@ -110,10 +112,10 @@ func TestApplyReplicatedDuplicatesAndGaps(t *testing.T) {
 
 	// A retried delivery overlaps the already-applied prefix: duplicates
 	// are counted, never re-applied.
-	if _, _, err := follower.ApplyReplicated(recs[:3]); err != nil {
+	if _, _, err := follower.ApplyReplicatedBatch(recs[:3]); err != nil {
 		t.Fatal(err)
 	}
-	applied, skipped, err := follower.ApplyReplicated(recs) // full batch again
+	applied, skipped, err := follower.ApplyReplicatedBatch(recs) // full batch again
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +135,7 @@ func TestApplyReplicatedDuplicatesAndGaps(t *testing.T) {
 	}
 	tail, _, _ := leader.TailSince(follower.Seq(), 0)
 	gap := tail[1:] // skip the contiguous next record
-	if _, _, err := follower.ApplyReplicated(gap); err == nil || !strings.Contains(err.Error(), "gap") {
+	if _, _, err := follower.ApplyReplicatedBatch(gap); err == nil || !strings.Contains(err.Error(), "gap") {
 		t.Fatalf("gap batch: err = %v, want replication gap", err)
 	}
 	if follower.Seq() != 4 {
@@ -334,4 +336,60 @@ func mustOpen(t *testing.T, dir string) *Store {
 	}
 	t.Cleanup(func() { s.Close() })
 	return s
+}
+
+// TestFollowerReadsDuringApply hammers a follower with Get, GetKeyed,
+// Hash and Version while replicated batches — puts, overwrites and
+// deletes — apply underneath. Every index write must happen under the
+// shard lock; run with -race to check it.
+func TestFollowerReadsDuringApply(t *testing.T) {
+	leader := mustOpen(t, "")
+	follower := mustOpen(t, t.TempDir())
+	ids := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	for round := 0; round < 20; round++ {
+		for _, id := range ids {
+			if _, _, err := leader.Put(id, replSet(fmt.Sprintf("%s-%d", id, round))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := leader.Delete(ids[round%len(ids)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs, _, reset := leader.TailSince(0, 0)
+	if reset {
+		t.Fatal("leader window lost the history")
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				for _, id := range ids {
+					follower.Get(id)
+					follower.GetKeyed(id)
+					follower.Hash(id)
+					follower.Version(id)
+				}
+			}
+		}()
+	}
+	for len(recs) > 0 {
+		n := min(7, len(recs))
+		if _, _, err := follower.ApplyReplicatedBatch(recs[:n]); err != nil {
+			t.Fatal(err)
+		}
+		recs = recs[n:]
+	}
+	close(done)
+	wg.Wait()
+	assertMirrors(t, leader, follower)
 }

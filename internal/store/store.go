@@ -139,12 +139,12 @@ type Store struct {
 	// never take it directly — they enqueue on the committer (commit.go),
 	// which holds it once per batch.
 	logMu      sync.Mutex
-	wal        *walWriter // nil in memory-only mode
-	seq        uint64     // last assigned global sequence
-	snapSeq    uint64     // sequence captured by the last snapshot
-	appends    int        // WAL records since the last snapshot
-	lastSynced uint64     // highest sequence known durable on disk
-	unsynced   int        // WAL records appended since the last sync
+	wal        *segment // nil in memory-only mode
+	seq        uint64   // last assigned global sequence
+	snapSeq    uint64   // sequence captured by the last snapshot
+	appends    int      // WAL records since the last snapshot
+	lastSynced uint64   // highest sequence known durable on disk
+	unsynced   int      // WAL records appended since the last sync
 	closed     bool
 
 	// The group-commit queue (commit.go). commitMu guards the
@@ -192,14 +192,13 @@ func Open(dir string, opts Options) (*Store, error) {
 	// one pass, so startup never materialises the whole document and the
 	// canonicalisation work is already done when serving begins.
 	snapSeq, err := loadSnapshot(filepath.Join(dir, snapshotFileName), func(rec *snapshotRecord) {
-		sh := s.shard(rec.Module)
-		sh.recs[rec.Module] = &record{
+		s.publish(rec.Module, &record{
 			set:     rec.Examples,
 			keyed:   rec.Examples.KeyedInterned(s.symtab),
 			hash:    rec.Hash,
 			version: rec.Version,
 			seq:     rec.Seq,
-		}
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -207,41 +206,19 @@ func Open(dir string, opts Options) (*Store, error) {
 	s.seq = snapSeq
 	s.snapSeq = snapSeq
 
-	walPath := filepath.Join(dir, walFileName)
-	recs, goodSize, truncatedAt, err := replayWAL(walPath)
+	// Replay the WAL over the snapshot. A torn tail is cut back to the
+	// last intact frame so future appends start from a clean prefix.
+	s.wal, err = openWAL(filepath.Join(dir, walFileName), s.apply)
 	if err != nil {
 		return nil, err
 	}
-	for _, rec := range recs {
-		s.apply(rec)
-	}
-	s.recovered = int64(len(recs))
-	if truncatedAt >= 0 && goodSize > 0 {
-		// Torn tail: cut the file back to the last intact frame so future
-		// appends start from a clean prefix.
-		if err := os.Truncate(walPath, goodSize); err != nil {
-			return nil, fmt.Errorf("store: truncating torn wal tail: %w", err)
-		}
-		s.truncated = true
-	}
-	if _, err := os.Stat(walPath); os.IsNotExist(err) || goodSize == 0 {
-		s.wal, err = createWAL(walPath)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		s.wal, err = openWAL(walPath, goodSize, int64(len(recs)))
-		if err != nil {
-			return nil, err
-		}
-	}
-	s.appends = len(recs)
+	s.recovered = s.wal.records
+	s.truncated = s.wal.truncated
+	s.appends = int(s.wal.records)
 	// Everything recovered came off stable storage: the durable
 	// baseline for Flush's redundant-sync elision.
 	s.lastSynced = s.seq
-	if s.wal != nil {
-		s.met.walBytes.Set(float64(s.wal.bytes))
-	}
+	s.met.walBytes.Set(float64(s.wal.bytes))
 	// Replication starts at the recovered sequence: followers whose
 	// cursor predates this process's window resynchronise with a full
 	// state reset rather than a record-by-record delta.
@@ -267,12 +244,13 @@ func (s *Store) registerFuncMetrics(r *telemetry.Registry) {
 	r.GaugeFunc("dexa_store_modules", "Modules with a stored example set.", func() float64 { return float64(s.Len()) })
 }
 
-// apply folds one replayed WAL record into the index. Records apply in
-// sequence order; stale duplicates (a WAL that survived a crash between
-// snapshot rename and truncation) are ignored.
+// apply folds one replayed or replicated WAL record into the index,
+// under logMu. Records apply in sequence order; stale duplicates (a WAL
+// that survived a crash between snapshot rename and truncation) are
+// ignored.
 func (s *Store) apply(rec Record) {
 	sh := s.shard(rec.Module)
-	old := sh.recs[rec.Module]
+	old := sh.recs[rec.Module] // logMu excludes every other index writer
 	if old != nil && rec.Seq <= old.seq {
 		return
 	}
@@ -286,13 +264,27 @@ func (s *Store) apply(rec Record) {
 				ver = old.version + 1
 			}
 		}
-		sh.recs[rec.Module] = &record{set: rec.Examples, keyed: rec.Examples.KeyedInterned(s.symtab), hash: rec.Hash, version: ver, seq: rec.Seq}
+		s.publish(rec.Module, &record{set: rec.Examples, keyed: rec.Examples.KeyedInterned(s.symtab), hash: rec.Hash, version: ver, seq: rec.Seq})
 	case OpDelete:
-		delete(sh.recs, rec.Module)
+		s.publish(rec.Module, nil)
 	}
 	if rec.Seq > s.seq {
 		s.seq = rec.Seq
 	}
+}
+
+// publish installs a module's index entry, or removes it when r is nil,
+// under the shard lock, so readers (Get, Hash, Version) never see the
+// shard map mid-write. Every per-module index write goes through here.
+func (s *Store) publish(id string, r *record) {
+	sh := s.shard(id)
+	sh.mu.Lock()
+	if r != nil {
+		sh.recs[id] = r
+	} else {
+		delete(sh.recs, id)
+	}
+	sh.mu.Unlock()
 }
 
 func (s *Store) shard(id string) *shard {
@@ -614,10 +606,6 @@ func (s *Store) Close() error {
 	s.closed = true
 	if s.wal == nil {
 		return nil
-	}
-	if err := s.wal.sync(); err != nil {
-		s.wal.close()
-		return err
 	}
 	return s.wal.close()
 }

@@ -1,14 +1,12 @@
 package store
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 
 	"dexa/internal/dataexample"
 )
@@ -120,156 +118,34 @@ func (fr *FrameReader) Next() ([]byte, error) {
 // Consumed returns the byte count of fully verified frames read so far.
 func (fr *FrameReader) Consumed() int64 { return fr.consumed }
 
-// walBufferSize sizes the writer's in-process buffer. A group-commit
-// batch accumulates frames here and reaches the kernel in one write,
-// so a 64-record batch costs one syscall instead of 64.
+// walBufferSize sizes the WAL segment's in-process buffer. A
+// group-commit batch accumulates frames here and reaches the kernel in
+// one write, so a 64-record batch costs one syscall instead of 64.
 const walBufferSize = 256 << 10
 
-// walWriter appends frames to an open WAL file through a buffered
-// writer. Appends are not durable until flush (one write syscall per
+// openWAL recovers the WAL at path, handing every intact record to apply
+// in log order, and opens it for appends at the end of the intact
+// prefix. A checksummed but undecodable frame is a torn tail like any
+// other. Appends are not durable until flush (one write syscall per
 // batch) and sync (one fsync per batch); the committer decides both
 // points.
-type walWriter struct {
-	f       *os.File
-	bw      *bufio.Writer
-	records int64
-	bytes   int64
+func openWAL(path string, apply func(Record)) (*segment, error) {
+	return openSegment(path, walMagic, "wal", walBufferSize, func(payload []byte) error {
+		var rec Record
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return ErrTornFrame
+		}
+		apply(rec)
+		return nil
+	})
 }
 
-// createWAL creates (or truncates) a WAL file and writes the magic.
-func createWAL(path string) (*walWriter, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: creating wal: %w", err)
-	}
-	if _, err := f.WriteString(walMagic); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: writing wal header: %w", err)
-	}
-	return &walWriter{f: f, bw: bufio.NewWriterSize(f, walBufferSize), bytes: int64(len(walMagic))}, nil
-}
-
-// openWAL opens an existing WAL positioned at its current end.
-func openWAL(path string, size int64, records int64) (*walWriter, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: opening wal: %w", err)
-	}
-	if _, err := f.Seek(size, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: seeking wal end: %w", err)
-	}
-	return &walWriter{f: f, bw: bufio.NewWriterSize(f, walBufferSize), records: records, bytes: size}, nil
-}
-
-// append frames and buffers one record. It neither writes through nor
-// syncs; the committer flushes once per batch and decides the
-// durability point (per-batch sync or explicit Flush).
-func (w *walWriter) append(rec Record) error {
+// appendRecord encodes one record and buffers its frame. An encoding
+// failure touches nothing; a write failure latches in the segment.
+func appendRecord(wal *segment, rec Record) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("store: encoding wal record: %w", err)
 	}
-	return w.appendFrame(EncodeFrame(payload))
-}
-
-// appendFrame buffers one already-encoded frame.
-func (w *walWriter) appendFrame(frame []byte) error {
-	if _, err := w.bw.Write(frame); err != nil {
-		return fmt.Errorf("store: appending wal record: %w", err)
-	}
-	w.records++
-	w.bytes += int64(len(frame))
-	return nil
-}
-
-// flush writes buffered frames through to the file.
-func (w *walWriter) flush() error {
-	if err := w.bw.Flush(); err != nil {
-		return fmt.Errorf("store: flushing wal: %w", err)
-	}
-	return nil
-}
-
-// sync forces the log to stable storage (flushing the buffer first).
-func (w *walWriter) sync() error {
-	if err := w.flush(); err != nil {
-		return err
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("store: syncing wal: %w", err)
-	}
-	return nil
-}
-
-// reset truncates the log back to just the magic header (after a
-// snapshot has absorbed its records). Buffered frames are discarded:
-// the snapshot already captured their effects.
-func (w *walWriter) reset() error {
-	w.bw.Reset(w.f)
-	if err := w.f.Truncate(int64(len(walMagic))); err != nil {
-		return fmt.Errorf("store: truncating wal: %w", err)
-	}
-	if _, err := w.f.Seek(int64(len(walMagic)), io.SeekStart); err != nil {
-		return fmt.Errorf("store: rewinding wal: %w", err)
-	}
-	w.records = 0
-	w.bytes = int64(len(walMagic))
-	return w.sync()
-}
-
-func (w *walWriter) close() error {
-	if w == nil || w.f == nil {
-		return nil
-	}
-	flushErr := w.flush()
-	err := w.f.Close()
-	w.f = nil
-	if err == nil {
-		err = flushErr
-	}
-	return err
-}
-
-// replayWAL reads every intact record from the log. A torn or corrupt
-// tail (short frame, short payload, or CRC mismatch) ends the replay at
-// the last good frame and is reported through truncatedAt >= 0; the
-// caller truncates the file there before appending again. A missing file
-// replays to nothing. Damage before the tail — an unreadable header —
-// is a hard error: it means the file is not a WAL at all.
-func replayWAL(path string) (recs []Record, goodSize int64, truncatedAt int64, err error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, 0, -1, nil
-	}
-	if err != nil {
-		return nil, 0, -1, fmt.Errorf("store: opening wal: %w", err)
-	}
-	defer f.Close()
-
-	magic := make([]byte, len(walMagic))
-	if _, err := io.ReadFull(f, magic); err != nil {
-		// Shorter than the magic: a crash during WAL creation. Nothing to
-		// recover; signal the caller to recreate the file from scratch.
-		return nil, 0, 0, nil
-	}
-	if string(magic) != walMagic {
-		return nil, 0, -1, fmt.Errorf("store: %s is not a wal (bad magic)", path)
-	}
-	fr := NewFrameReader(f)
-	for {
-		offset := int64(len(walMagic)) + fr.Consumed()
-		payload, err := fr.Next()
-		if err == io.EOF {
-			return recs, offset, -1, nil // clean end
-		}
-		if err != nil {
-			return recs, offset, offset, nil // torn or corrupt tail
-		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return recs, offset, offset, nil // checksummed but undecodable
-		}
-		recs = append(recs, rec)
-	}
+	return wal.append(payload)
 }

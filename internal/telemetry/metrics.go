@@ -445,6 +445,90 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sumBits.Load())
 }
 
+// NewHistogram returns a standalone histogram over ascending bucket
+// upper bounds (nil selects DefBuckets), for a caller that aggregates
+// outside a Registry — a load generator's per-class latencies, say.
+func NewHistogram(bounds []float64) *Histogram {
+	if bounds == nil {
+		bounds = DefBuckets
+	}
+	checkBounds("standalone", bounds)
+	return newHistogram(bounds)
+}
+
+// Merge adds o's observations into h. Both must share one bucket layout.
+func (h *Histogram) Merge(o *Histogram) {
+	if h == nil || o == nil {
+		return
+	}
+	if !equalFloats(h.bounds, o.bounds) {
+		panic(fmt.Sprintf("telemetry: merging histograms with buckets %v and %v", h.bounds, o.bounds))
+	}
+	for i := range o.buckets {
+		h.buckets[i].Add(o.buckets[i].Load())
+	}
+	h.count.Add(o.count.Load())
+	for {
+		old := h.sumBits.Load()
+		nv := math.Float64bits(math.Float64frombits(old) + o.Sum())
+		if h.sumBits.CompareAndSwap(old, nv) {
+			return
+		}
+	}
+}
+
+// Quantile estimates the q-quantile (0 < q <= 1) of the observations:
+// it finds the bucket holding rank q·Count and interpolates linearly
+// between that bucket's bounds (0 below the first). An empty histogram
+// reports 0; a rank in the overflow bucket reports the last bound, the
+// largest value the buckets vouch for.
+func (h *Histogram) Quantile(q float64) float64 {
+	if h == nil || len(h.bounds) == 0 {
+		return 0
+	}
+	return h.QuantileMax(q, h.bounds[len(h.bounds)-1])
+}
+
+// QuantileMax is Quantile for a caller that tracks the largest
+// observation, max: interpolation inside the top bucket stops at max
+// instead of the bucket's bound, and a rank in the overflow bucket
+// reports max itself.
+func (h *Histogram) QuantileMax(q, max float64) float64 {
+	if h == nil {
+		return 0
+	}
+	count := h.count.Load()
+	if count == 0 {
+		return 0
+	}
+	rank := q * float64(count)
+	var cum float64
+	for i := range h.buckets {
+		c := h.buckets[i].Load()
+		if c == 0 {
+			continue
+		}
+		next := cum + float64(c)
+		if rank <= next {
+			if i == len(h.bounds) {
+				return max
+			}
+			lo := 0.0
+			if i > 0 {
+				lo = h.bounds[i-1]
+			}
+			hi := h.bounds[i]
+			if hi > max {
+				hi = max
+			}
+			frac := (rank - cum) / float64(c)
+			return lo + (hi-lo)*frac
+		}
+		cum = next
+	}
+	return max
+}
+
 // checkBounds panics on unsorted or duplicate bucket bounds.
 func checkBounds(name string, bounds []float64) {
 	for i := 1; i < len(bounds); i++ {

@@ -183,3 +183,45 @@ func TestRecordAllocations(t *testing.T) {
 		t.Errorf("CounterVec.With(...).Inc allocates %v/op, want <= 1", n)
 	}
 }
+
+func TestHistogramQuantile(t *testing.T) {
+	h := NewHistogram([]float64{1, 2, 4})
+	if q := h.Quantile(0.5); q != 0 {
+		t.Errorf("empty quantile = %v, want 0", q)
+	}
+	for _, v := range []float64{0.5, 1.5, 1.5, 3} {
+		h.Observe(v)
+	}
+	// Rank 2 of 4 lands halfway through the (1,2] bucket's two samples.
+	if q := h.Quantile(0.5); q != 1.5 {
+		t.Errorf("p50 = %v, want 1.5", q)
+	}
+	// Rank 4 is the top of the (2,4] bucket; a known max of 3 caps it.
+	if q := h.Quantile(1); q != 4 {
+		t.Errorf("p100 = %v, want 4", q)
+	}
+	if q := h.QuantileMax(1, 3); q != 3 {
+		t.Errorf("p100 capped at max 3 = %v, want 3", q)
+	}
+	// Past the last bound: the last bound, or the known max.
+	h.Observe(9)
+	if q := h.Quantile(1); q != 4 {
+		t.Errorf("overflow quantile = %v, want the last bound 4", q)
+	}
+	if q := h.QuantileMax(1, 9); q != 9 {
+		t.Errorf("overflow quantile with max = %v, want 9", q)
+	}
+
+	other := NewHistogram([]float64{1, 2, 4})
+	other.Observe(0.25)
+	h.Merge(other)
+	if h.Count() != 6 || h.Sum() != 15.75 {
+		t.Errorf("merge: count %d sum %v, want 6 and 15.75", h.Count(), h.Sum())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("merging mismatched bucket layouts did not panic")
+		}
+	}()
+	h.Merge(NewHistogram([]float64{1, 2}))
+}

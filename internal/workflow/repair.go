@@ -1,6 +1,7 @@
 package workflow
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -207,7 +208,7 @@ func (r *Repairer) repairStepUncached(w *Workflow, stepID, moduleID string, entr
 	target := match.Unavailable{Signature: entry.Module, Examples: examples}
 
 	// Pass 1: exact mapping, Equivalent only.
-	subs, err := r.Exact.FindSubstitutes(target, available)
+	subs, err := r.Exact.FindSubstitutesContext(context.TODO(), target, available)
 	if err != nil {
 		return nil, "", err
 	}
@@ -221,8 +222,8 @@ func (r *Repairer) repairStepUncached(w *Workflow, stepID, moduleID string, entr
 	// flowing into this step, then accept relaxed candidates that agree on
 	// every remaining example.
 	if r.Relaxed != nil {
-		context := r.stepContext(w, stepID, entry)
-		ctxExamples := match.RestrictToContext(r.Relaxed.Ont, examples, context)
+		flowing := r.stepContext(w, stepID, entry)
+		ctxExamples := match.RestrictToContext(r.Relaxed.Ont, examples, flowing)
 		if len(ctxExamples) > 0 {
 			for _, cand := range available {
 				if cand.ID == moduleID {

@@ -5,6 +5,7 @@
 package dexa
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -69,7 +70,7 @@ func TestConcurrentEngineUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
-				subs, err := cmp.FindSubstitutes(target, available)
+				subs, err := cmp.FindSubstitutesContext(context.Background(), target, available)
 				if err != nil {
 					fail <- "substitutes: " + err.Error()
 					return
