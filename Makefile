@@ -1,8 +1,16 @@
 GO ?= go
 
-.PHONY: ci vet build test race race-store race-match race-lifecycle race-columnar race-cluster race-search cluster-smoke fuzz-smoke bench bench-smoke bench-overhead bench-search bench-write experiments
+.PHONY: ci fmt vet build test race race-store race-match race-lifecycle race-columnar race-cluster race-search cluster-smoke fuzz-smoke bench bench-smoke bench-overhead bench-search bench-write experiments
 
-ci: vet build race race-store race-match race-lifecycle race-columnar race-cluster race-search cluster-smoke fuzz-smoke bench-smoke bench-overhead bench-search bench-write
+ci: fmt vet build race race-store race-match race-lifecycle race-columnar race-cluster race-search cluster-smoke fuzz-smoke bench-smoke bench-overhead bench-search bench-write
+
+# Formatting gate: gofmt must report no file in the root module's
+# packages. Globbing each package directory, rather than handing gofmt
+# the directories, keeps it from recursing into perfbench/ (its own
+# module) and testdata.
+fmt:
+	@unformatted=$$(gofmt -l $$($(GO) list -f '{{.Dir}}/*.go' ./...)); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports:"; echo "$$unformatted"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -77,13 +85,15 @@ race-search:
 	$(GO) test -race -count=2 ./internal/search/
 	$(GO) test -race -count=2 -run 'TestSearch|TestClusterSearch|TestCompose' ./internal/serve/
 
-# Log-format fuzzing: ten seconds each of WAL and journal recovery over
-# arbitrary bytes, and of the follower's frame-stream decoder, raw and
-# deflated. Seeded from the golden WAL files; a failing input lands in
-# testdata/fuzz/ for replay by plain `go test`.
+# Fuzzing: ten seconds each of WAL and journal recovery over arbitrary
+# bytes, of the follower's frame-stream decoder, raw and deflated, and of
+# the /matches body encoder against json.MarshalIndent. Seeded from the
+# golden WAL and matrix files; a failing input lands in testdata/fuzz/
+# for replay by plain `go test`.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzSegmentRecovery$$' -fuzztime=10s ./internal/store/
 	$(GO) test -run=NONE -fuzz='^FuzzDecodeFrameStream$$' -fuzztime=10s ./internal/cluster/
+	$(GO) test -run=NONE -fuzz='^FuzzMatchesBody$$' -fuzztime=10s ./internal/serve/
 
 # Search-index gate: ranked queries must be deterministic, an index
 # maintained incrementally through Update/Remove churn must answer a

@@ -2,8 +2,12 @@ package match_test
 
 import (
 	"context"
+	"errors"
 	"reflect"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dexa/internal/dataexample"
@@ -268,4 +272,87 @@ func TestFullCatalogIncrementalMatchesFull(t *testing.T) {
 	step("index remove", w.mods)
 	ix.Update(mod)
 	step("index update", w.mods)
+
+	// rebuildBytes is the heap allocated by rebuilds, per rebuild; grid
+	// is one n×n grid's worth, what a full build allocates up front.
+	rebuildBytes := func(rounds int, mutate func()) uint64 {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < rounds; i++ {
+			mutate()
+			if _, err := inc.Matrix(ctx, w.mods, w.source); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / uint64(rounds)
+	}
+	base, err := inc.Matrix(ctx, w.mods, w.source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(base.Cells) == 0 {
+		t.Fatal("catalog matrix has no comparable cells")
+	}
+	grid := uint64(len(base.Modules) * len(base.Modules) * match.GridCellBytes)
+
+	// A cancelled sweep must never leave a half-patched grid to be
+	// served, nor cost the next call a full build. Blank the annotation
+	// of the first module with a comparable cell (its pairs all turn
+	// Incomparable), cancel the sequential sweep right after that
+	// module's row, then restore the original pointer — which change
+	// detection alone would take for "unchanged".
+	victim := base.Cells[0].Target
+	orig := w.keyed[victim]
+	w.keyed[victim] = dataexample.Set(nil).KeyedInterned(w.tab)
+	cmp.Workers = 1
+	cancelled := &cancelAfterRows{Context: ctx}
+	cancelled.rows.Store(int32(slices.Index(base.Modules, victim) + 1))
+	if _, err := inc.Matrix(cancelled, w.mods, w.source); !errors.Is(err, context.Canceled) {
+		t.Fatalf("sweep cancelled mid-way returned %v, want context.Canceled", err)
+	}
+	cmp.Workers = 0
+	if b := rebuildBytes(1, func() { w.keyed[victim] = orig }); b >= grid {
+		t.Errorf("rebuild after a cancelled sweep allocates %d bytes, want < %d: a full build instead of an incremental one", b, grid)
+	}
+	step("restored after a cancelled sweep", w.mods)
+
+	// In the steady state — an unchanged universe, a handful of changed
+	// modules — a rebuild pays for the changed modules' pairs, not for a
+	// fresh n×n grid.
+	var changed []string
+	alt := map[string]*dataexample.KeyedSet{}
+	for _, id := range base.Modules {
+		if len(changed) == 8 {
+			break
+		}
+		changed = append(changed, id)
+		alt[id] = w.keyed[id].Examples().KeyedInterned(w.tab) // same content, fresh pointer
+	}
+	perRebuild := rebuildBytes(4, func() {
+		for _, id := range changed {
+			w.keyed[id], alt[id] = alt[id], w.keyed[id]
+		}
+	})
+	if perRebuild >= grid {
+		t.Errorf("rebuild with %d changed modules allocates %d bytes, want < %d (one %d×%d grid)",
+			len(changed), perRebuild, grid, len(base.Modules), len(base.Modules))
+	}
+	step("re-interned sets, same content", w.mods)
+}
+
+// cancelAfterRows reports cancellation from Err once its budget of Err
+// calls is spent. A sequential sweep checks Err once per row, so the
+// budget is the number of rows the sweep completes.
+type cancelAfterRows struct {
+	context.Context
+	rows atomic.Int32
+}
+
+func (c *cancelAfterRows) Err() error {
+	if c.rows.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
 }

@@ -86,10 +86,12 @@ func TestInternedComparisonMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestCatalogIndexPairAgreesWithRow pins the contract PrunesPair is
-// built on: the single-pair query must return exactly the verdict the
-// row-bitset Feasibility query gives that candidate — for indexed and
-// unindexed targets and candidates alike, in both modes.
+// TestCatalogIndexPairAgreesWithRow pins the contract the incremental
+// matrix relies on: snapshotPrune, the per-pair verdict an incremental
+// sweep prunes with, must equal the row-bitset Feasibility verdict a
+// full build prunes with — both read through matrixView, for indexed
+// and unindexed targets and candidates alike (including one removed
+// from the index), in both modes.
 func TestCatalogIndexPairAgreesWithRow(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		r := rand.New(rand.NewSource(seed + 500))
@@ -100,20 +102,23 @@ func TestCatalogIndexPairAgreesWithRow(t *testing.T) {
 			mods[i] = randomModule(r, fmt.Sprintf("m%02d", i))
 		}
 		ix := NewCatalogIndex(f.ont, mods)
+		ix.Remove(mods[r.Intn(n)].ID)
 		outsider := randomModule(r, "outsider") // never indexed
 		all := append(append([]*module.Module{}, mods...), outsider)
+		in := resolveMatrixInputs(all, func(string) (*dataexample.KeyedSet, bool) { return nil, true })
 		for _, mode := range []Mode{ModeExact, ModeRelaxed} {
-			for _, target := range all {
-				feas := ix.Feasibility(target, mode)
-				for _, cand := range all {
-					if cand.ID == target.ID {
+			snaps, feas := ix.matrixView(&in, mode, true)
+			prune := ix.snapshotPrune(&in, snaps, mode)
+			for ti := range in.ids {
+				for ci := range in.ids {
+					if ci == ti {
 						continue
 					}
-					row := feas.Prunes(cand.ID)
-					pair := ix.PrunesPair(target, cand, mode)
+					row := feas[ti].Prunes(in.ids[ci])
+					pair := prune(ti, ci)
 					if row != pair {
 						t.Errorf("seed %d/%s: %s -> %s row prune %v, pair prune %v",
-							seed, mode, target.ID, cand.ID, row, pair)
+							seed, mode, in.ids[ti], in.ids[ci], row, pair)
 					}
 				}
 			}
@@ -219,5 +224,75 @@ func TestIncrementalMatrixEqualsFull(t *testing.T) {
 		}
 		inc.InvalidateAll()
 		check("invalidate-all rebuild")
+	}
+}
+
+// TestIncrementalMatrixConcurrentIndexFlips races index availability
+// flips (CatalogIndex.Update/Remove) against incremental rebuilds. Cells
+// computed under one index state must never be recorded as computed
+// under another: whatever interleaving the flips land in, once they
+// stop, one more rebuild must equal a fresh full build.
+func TestIncrementalMatrixConcurrentIndexFlips(t *testing.T) {
+	for seed := int64(0); seed < 4; seed++ {
+		r := rand.New(rand.NewSource(seed + 300))
+		f := newFixture(t)
+		n := 8 + r.Intn(4)
+		mods := make([]*module.Module, n)
+		tab := dataexample.NewSymbolTable()
+		keyed := make(map[string]*dataexample.KeyedSet, n)
+		for i := range mods {
+			mods[i] = randomModule(r, fmt.Sprintf("m%02d", i))
+			set, _, err := f.gen.Generate(mods[i])
+			if err != nil {
+				t.Fatalf("seed %d: generating: %v", seed, err)
+			}
+			keyed[mods[i].ID] = set.KeyedInterned(tab)
+		}
+		src := func(id string) (*dataexample.KeyedSet, bool) {
+			s, ok := keyed[id]
+			return s, ok
+		}
+		cmp := NewComparer(f.ont, nil)
+		cmp.Mode = []Mode{ModeExact, ModeRelaxed}[seed%2]
+		cmp.Workers = 1 + int(seed/2) // sequential, then two workers
+		cmp.Index = NewCatalogIndex(f.ont, mods)
+		inc := NewIncrementalMatrix(cmp)
+		ctx := context.Background()
+		for round := 0; round < 20; round++ {
+			flipsDone := make(chan struct{})
+			go func(fr *rand.Rand) {
+				defer close(flipsDone)
+				for i := 0; i < 100; i++ {
+					m := mods[fr.Intn(n)]
+					if cmp.Index.Contains(m.ID) {
+						cmp.Index.Remove(m.ID)
+					} else {
+						cmp.Index.Update(m)
+					}
+				}
+			}(rand.New(rand.NewSource(r.Int63())))
+			for running := true; running; {
+				select {
+				case <-flipsDone:
+					running = false
+				default:
+				}
+				if _, err := inc.Matrix(ctx, mods, src); err != nil {
+					t.Fatalf("seed %d round %d: incremental: %v", seed, round, err)
+				}
+			}
+			got, err := inc.Matrix(ctx, mods, src)
+			if err != nil {
+				t.Fatalf("seed %d round %d: incremental: %v", seed, round, err)
+			}
+			want, err := cmp.MatchMatrixFromKeyedSets(ctx, mods, src)
+			if err != nil {
+				t.Fatalf("seed %d round %d: full: %v", seed, round, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d round %d: incremental matrix kept cells computed under a superseded index state\n got %+v\nwant %+v",
+					seed, round, got.Stats, want.Stats)
+			}
+		}
 	}
 }

@@ -101,8 +101,10 @@ type Comparer struct {
 	Gen ExampleSource
 	// Mode selects the parameter-mapping strictness (default ModeExact).
 	Mode Mode
-	// Workers bounds FindSubstitutesContext's candidate fan-out; <= 0
-	// selects GOMAXPROCS. The ranking is deterministic at any width.
+	// Workers bounds the worker fan-out of FindSubstitutesContext and of
+	// every matrix sweep (full, sliced and incremental builds); <= 0
+	// selects GOMAXPROCS. Rankings and matrices are deterministic at any
+	// width.
 	Workers int
 	// Index, when set, prunes substitute searches and matrix builds to
 	// the mapping-feasible candidates before any example comparison. The

@@ -2,16 +2,16 @@ package match
 
 import (
 	"context"
+	"slices"
 	"strconv"
 	"sync"
 
-	"dexa/internal/dataexample"
 	"dexa/internal/module"
 	"dexa/internal/telemetry"
 )
 
 // IncrementalMatrix maintains the catalog's all-pairs verdict grid across
-// catalog changes, recomputing only the rows and columns of modules that
+// catalog changes, recomputing only the pairs that touch a module that
 // actually changed instead of re-sweeping every pair. It produces output
 // byte-identical to a fresh MatchMatrixFromKeyedSets build over the same
 // inputs (TestIncrementalMatrixEqualsFull drives random mutation
@@ -34,11 +34,22 @@ import (
 //
 // The per-pair outcome depends only on the two endpoints' signatures,
 // keyed sets and index membership — never on third modules — so diffing
-// endpoints per module is exact, not heuristic. Unchanged pairs are
-// copied from the previous grid; changed pairs run through the same pair
-// computation as the full build, with PrunesPair standing in for the
-// row-bitset feasibility query (the two agree per construction; see
-// CatalogIndex.PrunesPair).
+// endpoints per module is exact, not heuristic.
+//
+// The cached state is index-aligned with the previous build's sorted
+// module IDs: its inputs, the index snapshots its cells were computed
+// under, and the dense n×n grid. The snapshots are read once per call,
+// before any sweep, and the same read decides both change detection and
+// pruning, so an index flip racing a sweep is never recorded as applied
+// to cells computed without it. When the sorted IDs are unchanged (the
+// steady state), the cached grid is patched in place and the sweep visits
+// only the pairs touching a changed module, pruning each direction from
+// the snapshots (snapshotPrune, the per-pair form of the row query).
+// When the universe changed, unchanged pairs are copied into a fresh grid
+// first. A sweep that errors or is cancelled leaves the cached state as
+// it was, except that an in-place sweep marks its changed modules dirty:
+// every cell it may have written touches one of them, so the next call
+// recomputes exactly those pairs and never serves a half-patched cell.
 //
 // Concurrency: Matrix serialises callers on an internal mutex; the
 // underlying Comparer must be safe for the sweep's worker fan-out, as in
@@ -46,15 +57,12 @@ import (
 type IncrementalMatrix struct {
 	cmp *Comparer
 
-	mu      sync.Mutex
-	built   bool
-	in      matrixInputs
-	grid    []cell
-	keyedAt map[string]*dataexample.KeyedSet
-	sigAt   map[string]*module.Module
-	ixSigAt map[string]*moduleSig
-	dirty   map[string]bool
-	matrix  *MatchMatrix
+	mu    sync.Mutex
+	built bool
+	in    matrixInputs
+	snaps []*moduleSig // index snapshots the grid was computed under, aligned with in.ids
+	grid  []cell
+	dirty map[string]bool
 }
 
 // NewIncrementalMatrix wraps a Comparer. The Comparer's Mode, Index and
@@ -81,7 +89,6 @@ func (im *IncrementalMatrix) InvalidateAll() {
 	defer im.mu.Unlock()
 	im.built = false
 	im.grid = nil
-	im.matrix = nil
 	clear(im.dirty)
 }
 
@@ -99,68 +106,40 @@ func (im *IncrementalMatrix) Matrix(ctx context.Context, mods []*module.Module, 
 
 	in := resolveMatrixInputs(mods, source)
 	n := len(in.ids)
-
-	// ixSig is the index's signature snapshot for id (nil when unindexed
-	// or no index): a fresh pointer on every Update, nil after Remove, so
-	// pointer inequality captures both membership flips and re-indexed
-	// signature changes.
-	ixSig := func(id string) *moduleSig {
-		if im.cmp.Index == nil {
-			return nil
-		}
-		return im.cmp.Index.sigSnapshot(id)
-	}
+	snaps, prune := im.cmp.indexView(&in, !im.built)
 
 	var grid []cell
 	var changed int
 	if !im.built {
-		full, err := im.cmp.buildGrid(ctx, &in, nil, &met)
-		if err != nil {
+		grid = make([]cell, n*n)
+		if err := im.cmp.sweepGrid(ctx, &in, grid, prune, nil, nil, &met); err != nil {
 			return nil, err
 		}
-		grid = full
 		changed = n
 		span.Annotate("build", "full")
 	} else {
-		// Diff the new universe against the cached one. Removed modules
-		// need no recompute — their rows and columns simply vanish.
-		changedIDs := make(map[string]bool)
-		for i, id := range in.ids {
-			if im.dirty[id] || im.keyedAt[id] != in.keyed[i] || im.sigAt[id] != in.sigs[i] || im.ixSigAt[id] != ixSig(id) {
-				changedIDs[id] = true
-			}
+		rows, cols, remap := im.diff(&in, snaps)
+		changed = len(cols)
+		if remap == nil {
+			grid = im.grid
+		} else {
+			grid = im.carryOver(n, rows, remap)
 		}
-		changed = len(changedIDs)
-		grid = make([]cell, n*n)
-		if changed > 0 || len(in.ids) != len(im.in.ids) {
-			oldRank := im.in.rank()
-			oldN := len(im.in.ids)
-			for a := 0; a < n; a++ {
-				if !changedIDs[in.ids[a]] {
-					oa := oldRank[in.ids[a]]
-					for b := 0; b < n; b++ {
-						if a == b || changedIDs[in.ids[b]] {
-							continue
-						}
-						ob := oldRank[in.ids[b]]
-						grid[a*n+b] = im.grid[oa*oldN+ob]
+		if changed > 0 {
+			prune = noPrune
+			if im.cmp.Index != nil {
+				prune = im.cmp.Index.snapshotPrune(&in, snaps, im.cmp.Mode)
+			}
+			if err := im.cmp.sweepGrid(ctx, &in, grid, prune, rows, cols, &met); err != nil {
+				if remap == nil {
+					// The sweep patched the cached grid in place, but
+					// only at pairs touching a changed module.
+					for _, i := range cols {
+						im.dirty[in.ids[i]] = true
 					}
 				}
+				return nil, err
 			}
-			prune := func(ti, ci int) bool {
-				if im.cmp.Index == nil {
-					return false
-				}
-				return im.cmp.Index.PrunesPair(in.sigs[ti], in.sigs[ci], im.cmp.Mode)
-			}
-			need := func(a, b int) bool { return changedIDs[in.ids[a]] || changedIDs[in.ids[b]] }
-			if n >= 2 {
-				if err := im.cmp.sweepGrid(ctx, &in, grid, prune, need, &met); err != nil {
-					return nil, err
-				}
-			}
-		} else {
-			copy(grid, im.grid)
 		}
 		span.Annotate("build", "incremental")
 	}
@@ -172,16 +151,8 @@ func (im *IncrementalMatrix) Matrix(ctx context.Context, mods []*module.Module, 
 
 	im.built = true
 	im.in = in
+	im.snaps = snaps
 	im.grid = grid
-	im.matrix = mm
-	im.keyedAt = make(map[string]*dataexample.KeyedSet, n)
-	im.sigAt = make(map[string]*module.Module, n)
-	im.ixSigAt = make(map[string]*moduleSig, n)
-	for i, id := range in.ids {
-		im.keyedAt[id] = in.keyed[i]
-		im.sigAt[id] = in.sigs[i]
-		im.ixSigAt[id] = ixSig(id)
-	}
 	clear(im.dirty)
 
 	met.comparisons.Add(uint64(mm.Stats.Compared))
@@ -189,4 +160,59 @@ func (im *IncrementalMatrix) Matrix(ctx context.Context, mods []*module.Module, 
 	span.Annotate("modules", strconv.Itoa(n))
 	span.Annotate("changed", strconv.Itoa(changed))
 	return mm, nil
+}
+
+// diff compares the new inputs and index snapshots with the cached
+// build. rows marks, over the new indices, the modules whose pairs must
+// be recomputed — new to the universe, or with a changed keyed set,
+// signature, index snapshot or explicit invalidation — and cols lists
+// them in ascending order. remap gives each new index's position in the
+// cached build (-1 for a new module); it is nil when the sorted IDs are
+// unchanged, and only then is a lookup map built.
+func (im *IncrementalMatrix) diff(in *matrixInputs, snaps []*moduleSig) (rows []bool, cols []int, remap []int) {
+	if !slices.Equal(in.ids, im.in.ids) {
+		oldRank := make(map[string]int, len(im.in.ids))
+		for i, id := range im.in.ids {
+			oldRank[id] = i
+		}
+		remap = make([]int, len(in.ids))
+		for i, id := range in.ids {
+			o, ok := oldRank[id]
+			if !ok {
+				o = -1
+			}
+			remap[i] = o
+		}
+	}
+	rows = make([]bool, len(in.ids))
+	for i, id := range in.ids {
+		o := i
+		if remap != nil {
+			o = remap[i]
+		}
+		if o < 0 || im.dirty[id] || im.in.keyed[o] != in.keyed[i] ||
+			im.in.sigs[o] != in.sigs[i] || im.snaps[o] != snaps[i] {
+			rows[i] = true
+			cols = append(cols, i)
+		}
+	}
+	return rows, cols, remap
+}
+
+// carryOver copies every pair of unchanged modules from the cached grid
+// into a fresh one laid out over the new universe.
+func (im *IncrementalMatrix) carryOver(n int, rows []bool, remap []int) []cell {
+	grid := make([]cell, n*n)
+	oldN := len(im.in.ids)
+	for a, oa := range remap {
+		if rows[a] {
+			continue
+		}
+		for b, ob := range remap {
+			if a != b && !rows[b] {
+				grid[a*n+b] = im.grid[oa*oldN+ob]
+			}
+		}
+	}
+	return grid
 }

@@ -70,23 +70,23 @@ type CatalogIndex struct {
 
 // paramClass is one fingerprint equivalence class of a module side.
 type paramClass struct {
-	strct   string // structural type, canonical string form
-	concept string // semantic concept ID ("" when unannotated)
-	count   int    // parameters in this class
-	required int   // non-optional members (meaningful for inputs)
+	strct    string // structural type, canonical string form
+	concept  string // semantic concept ID ("" when unannotated)
+	count    int    // parameters in this class
+	required int    // non-optional members (meaningful for inputs)
 }
 
 // moduleSig is the per-module signature snapshot the index matches on.
 type moduleSig struct {
-	id         string
-	numInputs  int
+	id          string
+	numInputs   int
 	numRequired int
-	numOutputs int
-	inClasses  map[string]paramClass // fingerprint -> class
-	outClasses map[string]paramClass
-	inStruct   map[string]int // struct string -> input count
-	reqStruct  map[string]int // struct string -> required input count
-	outStruct  map[string]int // struct string -> output count
+	numOutputs  int
+	inClasses   map[string]paramClass // fingerprint -> class
+	outClasses  map[string]paramClass
+	inStruct    map[string]int // struct string -> input count
+	reqStruct   map[string]int // struct string -> required input count
+	outStruct   map[string]int // struct string -> output count
 }
 
 func fingerprint(strct, concept string) string { return strct + "\x00" + concept }
@@ -295,7 +295,11 @@ func (f *Feasibility) Prunes(id string) bool {
 func (ix *CatalogIndex) Feasibility(target *module.Module, mode Mode) *Feasibility {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
+	return ix.feasibilityLocked(target, mode)
+}
 
+// feasibilityLocked is Feasibility under a read lock the caller holds.
+func (ix *CatalogIndex) feasibilityLocked(target *module.Module, mode Mode) *Feasibility {
 	n := len(ix.ids)
 	live := make([]uint64, ix.words)
 	for i := 0; i < n; i++ {
@@ -403,51 +407,46 @@ func (ix *CatalogIndex) targetSigLocked(target *module.Module) *moduleSig {
 	return signatureOf(target)
 }
 
-// PrunesPair is the single-pair form of a Feasibility query: it decides,
-// from signatures alone, whether the index prunes the ordered direction
-// target → candidate, returning exactly the verdict the posting
-// intersection gives that candidate (each candidate's live bit depends
-// only on its own signature, so the per-pair check and the row query
-// agree by construction; TestCatalogIndexPairAgreesWithRow pins this).
-// Unindexed candidates are never pruned, mirroring Prunes.
-func (ix *CatalogIndex) PrunesPair(target, candidate *module.Module, mode Mode) bool {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	cSig, ok := ix.sigs[candidate.ID]
-	if !ok || candidate.ID == target.ID {
-		return false
-	}
-	tSig := ix.targetSigLocked(target)
-	return !ix.pairFeasibleLocked(tSig, cSig, mode)
-}
-
-// pairFeasibleLocked replicates, for one candidate, the conjunction the
-// row query computes: per-target-parameter existence of a compatible
+// pairFeasible replicates, for one candidate, the conjunction the row
+// query computes: per-target-parameter existence of a compatible
 // candidate parameter (the posting intersection, here per fingerprint
 // class since same-class parameters share struct and concept) and the
-// counting conditions.
-func (ix *CatalogIndex) pairFeasibleLocked(t, c *moduleSig, mode Mode) bool {
+// counting conditions. It reads only the two immutable snapshots and the
+// ontology, so callers holding snapshots need not hold the lock.
+func (ix *CatalogIndex) pairFeasible(t, c *moduleSig, mode Mode) bool {
+	if mode == ModeExact {
+		// Exact compatibility is fingerprint equality: probe with the
+		// target's own class keys.
+		for fp := range t.inClasses {
+			if _, ok := c.inClasses[fp]; !ok {
+				return false
+			}
+		}
+		for fp := range t.outClasses {
+			if _, ok := c.outClasses[fp]; !ok {
+				return false
+			}
+		}
+		return countFeasible(t, c, mode)
+	}
 	for _, tc := range t.inClasses {
-		if !ix.sideHasCompatible(c.inClasses, tc.strct, tc.concept, mode, false) {
+		if !ix.relaxedHasCompatible(c.inClasses, tc.strct, tc.concept, false) {
 			return false
 		}
 	}
 	for _, tc := range t.outClasses {
-		if !ix.sideHasCompatible(c.outClasses, tc.strct, tc.concept, mode, true) {
+		if !ix.relaxedHasCompatible(c.outClasses, tc.strct, tc.concept, true) {
 			return false
 		}
 	}
 	return countFeasible(t, c, mode)
 }
 
-// sideHasCompatible reports whether one side of a candidate signature
+// relaxedHasCompatible reports whether one side of a candidate signature
 // carries at least one parameter a target parameter (strct, sem) can map
-// onto — the per-candidate membership test the postings answer in bulk.
-func (ix *CatalogIndex) sideHasCompatible(classes map[string]paramClass, strct, sem string, mode Mode, output bool) bool {
-	if mode == ModeExact {
-		_, ok := classes[fingerprint(strct, sem)]
-		return ok
-	}
+// onto under subsumption — the per-candidate membership test the
+// postings answer in bulk.
+func (ix *CatalogIndex) relaxedHasCompatible(classes map[string]paramClass, strct, sem string, output bool) bool {
 	if !ix.ont.Has(sem) {
 		return false // Subsumes never holds for unknown concepts
 	}
@@ -522,13 +521,47 @@ func countFeasible(t, c *moduleSig, mode Mode) bool {
 	return true
 }
 
-// sigSnapshot returns the index's current signature snapshot for a
-// module (nil when unindexed). Update installs a fresh snapshot pointer
-// and Remove drops it, so the incremental matrix uses pointer identity
-// as an exact per-module "did the index's view of this module change"
-// probe — cheaper and more precise than the global Generation counter.
-func (ix *CatalogIndex) sigSnapshot(id string) *moduleSig {
+// matrixView reads, under one read lock, the index's view of a matrix
+// build's modules: each one's signature snapshot (nil when unindexed)
+// and, with rows set, each one's feasibility row. Update installs a fresh
+// snapshot pointer and Remove drops it, so pointer identity is an exact
+// per-module "did the index's view of this module change" probe. Reading
+// the snapshots and the rows together keeps change detection and pruning
+// on one index state while Update/Remove race the build.
+func (ix *CatalogIndex) matrixView(in *matrixInputs, mode Mode, rows bool) ([]*moduleSig, []*Feasibility) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.sigs[id]
+	snaps := make([]*moduleSig, len(in.ids))
+	for i, id := range in.ids {
+		snaps[i] = ix.sigs[id]
+	}
+	if !rows {
+		return snaps, nil
+	}
+	feas := make([]*Feasibility, len(in.ids))
+	for i, m := range in.sigs {
+		feas[i] = ix.feasibilityLocked(m, mode)
+	}
+	return snaps, feas
+}
+
+// snapshotPrune is the single-pair form of a Feasibility query, over
+// snapshots matrixView already read and without re-taking the lock: the
+// direction target → candidate is pruned when the candidate was indexed
+// and the pair is infeasible, and an unindexed target is checked under a
+// fresh signature, as targetSigLocked does. Each candidate's live bit in
+// a row depends only on its own signature, so the per-pair verdict and
+// the row query agree by construction; TestCatalogIndexPairAgreesWithRow
+// pins this.
+func (ix *CatalogIndex) snapshotPrune(in *matrixInputs, snaps []*moduleSig, mode Mode) pruneFunc {
+	targets := make([]*moduleSig, len(snaps))
+	for i, s := range snaps {
+		if s == nil {
+			s = signatureOf(in.sigs[i])
+		}
+		targets[i] = s
+	}
+	return func(ti, ci int) bool {
+		return snaps[ci] != nil && !ix.pairFeasible(targets[ti], snaps[ci], mode)
+	}
 }

@@ -107,14 +107,6 @@ func resolveMatrixInputs(mods []*module.Module, source KeyedSource) matrixInputs
 	return in
 }
 
-func (in *matrixInputs) rank() map[string]int {
-	r := make(map[string]int, len(in.ids))
-	for i, id := range in.ids {
-		r[id] = i
-	}
-	return r
-}
-
 // matrixScratch is one worker's arena: comparison buffers and two live
 // mapping slots (exact-mode mirroring checks mappingsInverse(fwd, rev),
 // so both directions' derivations must be alive at once).
@@ -161,7 +153,6 @@ func (c *Comparer) matrix(ctx context.Context, spanName string, mods []*module.M
 	n := len(in.ids)
 	pairs := n * (n - 1)
 	var own []bool
-	var need func(a, b int) bool
 	if assigned != nil {
 		own = make([]bool, n)
 		pairs = 0
@@ -171,14 +162,14 @@ func (c *Comparer) matrix(ctx context.Context, spanName string, mods []*module.M
 				pairs += 2 * (n - 1 - i) // both directions of each owned pair
 			}
 		}
-		need = func(a, b int) bool { return own[a] }
 	}
 	mm := newMatrix(c.Mode, &in, pairs)
 	if pairs == 0 {
 		return mm, ctx.Err()
 	}
-	grid, err := c.buildGrid(ctx, &in, need, &met)
-	if err != nil {
+	_, prune := c.indexView(&in, true)
+	grid := make([]cell, n*n)
+	if err := c.sweepGrid(ctx, &in, grid, prune, own, nil, &met); err != nil {
 		return nil, err
 	}
 	assembleMatrix(mm, &in, grid, own)
@@ -203,36 +194,44 @@ func newMatrix(mode Mode, in *matrixInputs, pairs int) *MatchMatrix {
 	}
 }
 
-// buildGrid runs the sweep: per-target feasibility rows, then every
-// unordered pair need admits (nil means all).
-func (c *Comparer) buildGrid(ctx context.Context, in *matrixInputs, need func(a, b int) bool, met *matchMetrics) ([]cell, error) {
-	n := len(in.ids)
-	var feas []*Feasibility
-	if c.Index != nil {
-		feas = make([]*Feasibility, n)
-		for i := range in.ids {
-			feas[i] = c.Index.Feasibility(in.sigs[i], c.Mode)
-		}
+// indexView reads the Comparer's index under one lock: every module's
+// signature snapshot (nil when unindexed) and, with rows set, a pruneFunc
+// over the per-target feasibility rows read alongside (nil without rows).
+// Without an index the snapshots are all nil and nothing is pruned.
+func (c *Comparer) indexView(in *matrixInputs, rows bool) ([]*moduleSig, pruneFunc) {
+	if c.Index == nil {
+		return make([]*moduleSig, len(in.ids)), noPrune
 	}
-	prune := func(ti, ci int) bool {
-		if feas == nil {
-			return false
-		}
-		return feas[ti].Prunes(in.ids[ci])
+	snaps, feas := c.Index.matrixView(in, c.Mode, rows)
+	if !rows {
+		return snaps, nil
 	}
-	grid := make([]cell, n*n)
-	if err := c.sweepGrid(ctx, in, grid, prune, need, met); err != nil {
-		return nil, err
-	}
-	return grid, nil
+	return snaps, func(ti, ci int) bool { return feas[ti].Prunes(in.ids[ci]) }
 }
 
-// sweepGrid computes every unordered pair a<b for which need(a, b) holds
-// (nil means all), writing both ordered cells of each pair directly into
-// the dense grid. Workers claim rows through an atomic counter and carry
-// their own scratch, so a warm sweep allocates nothing per cell.
-func (c *Comparer) sweepGrid(ctx context.Context, in *matrixInputs, grid []cell, prune pruneFunc, need func(a, b int) bool, met *matchMetrics) error {
+func noPrune(ti, ci int) bool { return false }
+
+// sweepGrid computes unordered pairs a<b, writing both ordered cells of
+// each directly into the dense grid: with rows nil, every pair;
+// otherwise, for each row a, every pair (a, b) when rows[a] holds and
+// the pairs (a, b) for b in the ascending cols list when it does not.
+// Workers claim rows through an atomic counter and carry their own
+// scratch, so a warm sweep allocates nothing per cell.
+func (c *Comparer) sweepGrid(ctx context.Context, in *matrixInputs, grid []cell, prune pruneFunc, rows []bool, cols []int, met *matchMetrics) error {
 	n := len(in.ids)
+	sweepRow := func(a int, sc *matrixScratch) {
+		if rows == nil || rows[a] {
+			for b := a + 1; b < n; b++ {
+				c.computePair(in, grid, a, b, prune, sc, met)
+			}
+			return
+		}
+		for _, b := range cols {
+			if b > a {
+				c.computePair(in, grid, a, b, prune, sc, met)
+			}
+		}
+	}
 	workers := c.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -246,12 +245,7 @@ func (c *Comparer) sweepGrid(ctx context.Context, in *matrixInputs, grid []cell,
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			for b := a + 1; b < n; b++ {
-				if need != nil && !need(a, b) {
-					continue
-				}
-				c.computePair(in, grid, a, b, prune, &sc, met)
-			}
+			sweepRow(a, &sc)
 		}
 		return nil
 	}
@@ -267,12 +261,7 @@ func (c *Comparer) sweepGrid(ctx context.Context, in *matrixInputs, grid []cell,
 				if a >= n-1 || ctx.Err() != nil {
 					return
 				}
-				for b := a + 1; b < n; b++ {
-					if need != nil && !need(a, b) {
-						continue
-					}
-					c.computePair(in, grid, a, b, prune, &sc, met)
-				}
+				sweepRow(a, &sc)
 			}
 		}()
 	}
@@ -283,44 +272,39 @@ func (c *Comparer) sweepGrid(ctx context.Context, in *matrixInputs, grid []cell,
 // computePair settles both ordered directions of the unordered pair
 // (a, b), writing grid[a*n+b] and grid[b*n+a]. Workers own disjoint rows
 // a and each pair is computed exactly once, so the writes never race.
+// Each direction's prune verdict is taken once and threaded through.
 func (c *Comparer) computePair(in *matrixInputs, grid []cell, a, b int, prune pruneFunc, sc *matrixScratch, met *matchMetrics) {
 	n := len(in.ids)
-	if c.Mode == ModeExact {
-		fwd, fok := c.pairMapping(in, a, b, prune, &sc.fwd)
-		rev, rok := c.pairMapping(in, b, a, prune, &sc.rev)
-		if fok && rok && mappingsInverse(fwd, rev) &&
-			in.keyed[a].UniqueInputs() && in.keyed[b].UniqueInputs() {
-			out := c.alignCell(in, a, b, fwd, sc, met)
-			grid[a*n+b] = out
-			out.aligned = false
-			out.mirrored = true
-			grid[b*n+a] = out
-			return
-		}
-		grid[a*n+b] = c.directionCell(in, a, b, fwd, fok, prune, sc, met)
-		grid[b*n+a] = c.directionCell(in, b, a, rev, rok, prune, sc, met)
+	pf, pr := prune(a, b), prune(b, a)
+	fwd, fok := c.pairMapping(in, a, b, pf, &sc.fwd)
+	rev, rok := c.pairMapping(in, b, a, pr, &sc.rev)
+	if c.Mode == ModeExact && fok && rok && mappingsInverse(fwd, rev) &&
+		in.keyed[a].UniqueInputs() && in.keyed[b].UniqueInputs() {
+		out := c.alignCell(in, a, b, fwd, sc, met)
+		grid[a*n+b] = out
+		out.aligned = false
+		out.mirrored = true
+		grid[b*n+a] = out
 		return
 	}
-	fwd, fok := c.pairMapping(in, a, b, prune, &sc.fwd)
-	rev, rok := c.pairMapping(in, b, a, prune, &sc.rev)
-	grid[a*n+b] = c.directionCell(in, a, b, fwd, fok, prune, sc, met)
-	grid[b*n+a] = c.directionCell(in, b, a, rev, rok, prune, sc, met)
+	grid[a*n+b] = c.directionCell(in, a, b, fwd, fok, pf, sc, met)
+	grid[b*n+a] = c.directionCell(in, b, a, rev, rok, pr, sc, met)
 }
 
 // pairMapping resolves the mapping for the ordered direction (ti, ci)
 // into the given slot, unless the index already pruned it.
-func (c *Comparer) pairMapping(in *matrixInputs, ti, ci int, prune pruneFunc, sl *mappingSlot) (Mapping, bool) {
-	if prune(ti, ci) {
+func (c *Comparer) pairMapping(in *matrixInputs, ti, ci int, pruned bool, sl *mappingSlot) (Mapping, bool) {
+	if pruned {
 		return Mapping{}, false
 	}
 	return mapParametersInto(sl, c.Ont, in.sigs[ti], in.sigs[ci], c.Mode)
 }
 
 // directionCell turns a resolved (or failed) mapping into one ordered
-// cell. The pruned flag is re-derived rather than threaded through so a
-// failed mapping and a pruned direction stay distinguishable in stats.
-func (c *Comparer) directionCell(in *matrixInputs, ti, ci int, mapping Mapping, ok bool, prune pruneFunc, sc *matrixScratch, met *matchMetrics) cell {
-	if prune(ti, ci) {
+// cell, keeping a failed mapping and a pruned direction distinguishable
+// in stats.
+func (c *Comparer) directionCell(in *matrixInputs, ti, ci int, mapping Mapping, ok, pruned bool, sc *matrixScratch, met *matchMetrics) cell {
+	if pruned {
 		return cell{verdict: Incomparable, pruned: true}
 	}
 	if !ok {

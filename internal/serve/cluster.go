@@ -277,12 +277,17 @@ func (s *Server) scatterMatches(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, matchesResponse{
+	body, err := appendMatchesBody(nil, &matchesResponse{
 		State:        state,
 		Matrix:       res.Matrix,
 		Partial:      res.Partial,
 		FailedShards: res.FailedShards,
 	})
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encoding match matrix: %v", err)
+		return
+	}
+	writeJSONBody(w, body)
 }
 
 // clusterStats is the /stats cluster block.
